@@ -11,14 +11,9 @@ namespace voltboot
 const char *
 toString(AttackKind kind)
 {
-    switch (kind) {
-      case AttackKind::VoltBoot: return "voltboot";
-      case AttackKind::ColdBoot: return "coldboot";
-      case AttackKind::Glitch: return "glitch";
-      case AttackKind::StaticExtract: return "static-extract";
-      case AttackKind::VoltageCoupling: return "voltage-coupling";
-      case AttackKind::KeyRecovery: return "key-recovery";
-    }
+    for (const AttackName &a : kAttackNames)
+        if (a.kind == kind)
+            return a.name;
     panic("bad AttackKind");
 }
 
@@ -36,24 +31,28 @@ toString(TargetRam target)
     panic("bad TargetRam");
 }
 
+namespace
+{
+
+/** "voltboot|coldboot|..." over every attack family. */
+std::string
+attackNameList()
+{
+    std::string out;
+    for (const AttackName &a : kAttackNames)
+        out += std::string(out.empty() ? "" : "|") + a.name;
+    return out;
+}
+
+} // namespace
+
 AttackKind
 attackFromString(const std::string &name)
 {
-    if (name == "voltboot")
-        return AttackKind::VoltBoot;
-    if (name == "coldboot")
-        return AttackKind::ColdBoot;
-    if (name == "glitch")
-        return AttackKind::Glitch;
-    if (name == "static-extract")
-        return AttackKind::StaticExtract;
-    if (name == "voltage-coupling")
-        return AttackKind::VoltageCoupling;
-    if (name == "key-recovery")
-        return AttackKind::KeyRecovery;
-    fatal("unknown attack '", name,
-          "' (voltboot|coldboot|glitch|static-extract|voltage-coupling|"
-          "key-recovery)");
+    for (const AttackName &a : kAttackNames)
+        if (name == a.name)
+            return a.kind;
+    fatal("unknown attack '", name, "' (", attackNameList(), ")");
 }
 
 TargetRam
@@ -355,13 +354,12 @@ SweepGrid::axesHelp()
         const char *key;
         const char *unit;
         const char *def;
-        const char *values;
+        std::string values;
     };
-    static const AxisDoc axes[] = {
+    const AxisDoc axes[] = {
         {"board", "-", "pi4", "pi3|pi4|imx53"},
         {"target", "-", "dcache", "dcache|icache|regs|iram|tlb|btb"},
-        {"attack", "-", "voltboot",
-         "voltboot|coldboot|glitch|static-extract|voltage-coupling"},
+        {"attack", "-", "voltboot", attackNameList()},
         {"temp", "degC", "25", "ambient temperature list"},
         {"off-ms", "ms", "500", "power-off time list"},
         {"current", "A", "3", "probe current-limit list"},

@@ -46,6 +46,24 @@ enum class TargetRam
     Btb,    ///< BTB entry RAM of core 0.
 };
 
+/** An attack family's canonical grid/record spelling. */
+struct AttackName
+{
+    AttackKind kind;
+    const char *name;
+};
+
+/** Every AttackKind with its spelling, in enum order: the one table
+ * toString, attackFromString and the --list-axes help are built from. */
+inline constexpr AttackName kAttackNames[] = {
+    {AttackKind::VoltBoot, "voltboot"},
+    {AttackKind::ColdBoot, "coldboot"},
+    {AttackKind::Glitch, "glitch"},
+    {AttackKind::StaticExtract, "static-extract"},
+    {AttackKind::VoltageCoupling, "voltage-coupling"},
+    {AttackKind::KeyRecovery, "key-recovery"},
+};
+
 const char *toString(AttackKind kind);
 const char *toString(TargetRam target);
 AttackKind attackFromString(const std::string &name);

@@ -101,6 +101,7 @@ Soc::buildArrays()
     const uint64_t seed = config_.chip_seed;
     uint64_t array_id = 1;
     auto sram = [&](const std::string &name, size_t bytes) {
+        silicon_bytes_ += bytes;
         return std::make_unique<SramArray>(name, bytes, seed, array_id++);
     };
 
@@ -128,6 +129,7 @@ Soc::buildArrays()
         iram_ = sram("iRAM", config_.iram_bytes);
     dram_ = std::make_unique<DramArray>("DRAM", config_.dram_bytes, seed,
                                         array_id++);
+    silicon_bytes_ += config_.dram_bytes;
 }
 
 void
@@ -275,8 +277,13 @@ Soc::runBootRom()
         // The VideoCore boots first from its own ROM and uses the shared
         // L2 for its firmware, clobbering whatever survived the power
         // cycle ("pre-compiled binaries that clobber L2 cache contents").
-        for (size_t i = 0; i + 8 <= l2_data_->sizeBytes(); i += 8)
-            l2_data_->writeWord64(i, boot_noise_.next());
+        // One block write, so no page of the data RAM is ever derived.
+        std::vector<uint8_t> noise(l2_data_->sizeBytes() / 8 * 8);
+        for (size_t i = 0; i < noise.size(); i += 8) {
+            const uint64_t word = boot_noise_.next();
+            std::memcpy(&noise[i], &word, 8);
+        }
+        l2_data_->write(0, noise);
         l2_tags_->fill(0);
     }
 
@@ -291,10 +298,10 @@ Soc::runBootRom()
         // The internal boot ROM uses part of the iRAM as scratchpad
         // before the DRAM controller is up.
         for (const BootClobber &region : config_.iram_boot_clobbers) {
-            for (uint64_t a = region.begin; a < region.end; ++a) {
-                iram_->writeByte(a - config_.iram_base,
-                                 static_cast<uint8_t>(boot_noise_.next()));
-            }
+            std::vector<uint8_t> noise(region.end - region.begin);
+            for (uint8_t &b : noise)
+                b = static_cast<uint8_t>(boot_noise_.next());
+            iram_->write(region.begin - config_.iram_base, noise);
         }
     }
 }

@@ -110,6 +110,8 @@ class Soc
     MemoryArray *iramArray() { return iram_ ? iram_.get() : nullptr; }
     MemoryArray &dramArray() { return *dram_; }
     MemoryArray *l2Data() { return l2_data_ ? l2_data_.get() : nullptr; }
+    /** Bytes of every modeled array on the die, DRAM included. */
+    size_t siliconBytes() const { return silicon_bytes_; }
     ///@}
 
     /** @name Core-domain microarchitectural RAMs (Section 2.1's "15
@@ -169,6 +171,7 @@ class Soc
     std::vector<std::unique_ptr<Cpu>> cpus_;
     JtagPort jtag_;
     uint64_t boot_count_ = 0;
+    size_t silicon_bytes_ = 0;
 };
 
 } // namespace voltboot

@@ -43,6 +43,7 @@ struct KeyHash
     {
         uint64_t h = hashCombine(k.chip_seed, k.array_id);
         h = hashCombine(h, k.size_bytes);
+        h = hashCombine(h, k.page);
         auto mix = [&](double d) {
             uint64_t bits;
             static_assert(sizeof(bits) == sizeof(d));
@@ -112,6 +113,7 @@ acquireFingerprintPlanes(const FingerprintKey &key,
     // threads racing on the same key waste work but cannot disagree.
     auto planes = std::make_shared<const FingerprintPlanes>(build());
     std::lock_guard<std::mutex> lock(c.mutex);
+    c.stats.derived_bytes += planes->fingerprint.sizeBytes();
     if (auto it = c.index.find(key); it != c.index.end())
         return it->second->second; // lost the race; share the winner's
     if (planes->footprint() > c.capacity) {

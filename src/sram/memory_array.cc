@@ -32,87 +32,85 @@ laneMask(unsigned n)
 }
 
 /**
- * Fresh power-up draws for the metastable cells selected by @p mask
- * (cell indices cell0 + bit) at power-up nonce @p nonce, returned as a
- * word with draw values at the mask positions and zeros elsewhere.
+ * Resolve the cells of one page that @p loss marks lost (every cell
+ * when @p loss is null) to their power-up state at nonce @p nonce:
+ * lost stable cells take their fingerprint bit, lost metastable cells
+ * re-roll. @p words and @p loss are the page's @p nwords words and
+ * @p cell0 its first cell; @p planes are the page's power-up planes.
+ * This is the one word-level resolve: eager loss events, the replay of
+ * deferred ones, a pending page's wake-up and the first-wake image all
+ * run through it.
  *
- * Draw keys are hashCombine(cell, nonce) — non-consecutive — so the
- * hashes go through the gathered batch. The per-cell bias threshold is
- * taken from @p lane_cutoffs (the word's slice of the rank-compressed
- * FingerprintPlanes::meta_cutoffs table, one entry per set bit of
- * @p mask in bit order) when memoised, otherwise recomputed on the fly
- * from the bias channel: the double math is identical to
- * metastableTheta()/metastableDraw() (uniformFromRaw of the batched raw
- * hash), so the integer compare against rawUniformCountBelow(theta) is
- * bit-exact with the reference draw either way, and DRAM-scale arrays
- * carry no per-metastable-cell storage.
- */
-uint64_t
-rerolledDraws(const RetentionModel &model, uint64_t cell0, uint64_t mask,
-              uint64_t nonce, const uint64_t *lane_cutoffs = nullptr)
-{
-    const CellRng &rng = model.rng();
-    uint64_t cells[64], keys[64], draws[64];
-    unsigned n = 0;
-    for (uint64_t m = mask; m; m &= m - 1) {
-        const uint64_t cell = cell0 + std::countr_zero(m);
-        cells[n] = cell;
-        keys[n] = hashCombine(cell, nonce);
-        ++n;
-    }
-    cellBitsBatchIndexed(rng, keys, RetentionModel::ChannelMetastableDraw,
-                         n, draws);
-    uint64_t out = 0;
-    uint64_t m = mask;
-    if (lane_cutoffs) {
-        for (unsigned i = 0; i < n; ++i, m &= m - 1) {
-            const int b = std::countr_zero(m);
-            const uint64_t value = (draws[i] >> 11) < lane_cutoffs[i];
-            out |= value << b;
-        }
-        return out;
-    }
-    const RetentionConfig &cfg = model.config();
-    uint64_t biases[64];
-    cellBitsBatchIndexed(rng, cells, RetentionModel::ChannelMetastableBias,
-                         n, biases);
-    const double bias_lo = cfg.metastable_bias_min;
-    const double bias_range = cfg.metastable_bias_max - bias_lo;
-    for (unsigned i = 0; i < n; ++i, m &= m - 1) {
-        const int b = std::countr_zero(m);
-        const double theta =
-            bias_lo +
-            CellRng::uniformFromRaw(biases[i] >> 11) * bias_range;
-        const uint64_t value =
-            (draws[i] >> 11) < CellRng::rawUniformCountBelow(theta);
-        out |= value << b;
-    }
-    return out;
-}
-
-/**
- * Re-roll every metastable cell of @p bits in place at power-up nonce
- * @p nonce. Only words with metastable bits are touched. @p cutoffs /
- * @p rank are the planes' rank-compressed cutoff table (may be null);
- * because every metastable bit of a word re-rolls here, word w's lanes
- * are exactly cutoffs[rank[w]...].
+ * Re-roll draw keys are hashCombine(cell, nonce) — non-consecutive —
+ * so they go through the gathered hash batch. At typical loss rates
+ * only a few bits per word re-roll, so word-at-a-time batches would
+ * run at 1-4 of 8 lanes; accumulating the re-roll set over a 16-word
+ * chunk keeps the batch full and amortises the per-call cost ~16x.
+ * The per-cell bias threshold comes from the bias channel, batched the
+ * same way, with the double math of metastableTheta()/metastableDraw(),
+ * so the integer compare against rawUniformCountBelow(theta) is
+ * bit-exact with the reference draw.
  */
 void
-rerollMetastable(BitPlane &bits, const BitPlane &metastable,
-                 const RetentionModel &model, uint64_t nonce,
-                 const uint64_t *cutoffs = nullptr,
-                 const uint32_t *rank = nullptr)
+resolveLost(uint64_t *words, const uint64_t *loss, size_t nwords,
+            uint64_t cell0, const FingerprintPlanes &planes,
+            const RetentionModel &model, uint64_t nonce)
 {
-    const size_t nwords = bits.sizeWords();
-    uint64_t *words = bits.words();
-    const uint64_t *ms = metastable.words();
-    for (size_t w = 0; w < nwords; ++w) {
-        const uint64_t m = ms[w];
-        if (!m)
+    const CellRng &rng = model.rng();
+    const uint64_t *fp = planes.fingerprint.words();
+    const uint64_t *ms = planes.metastable_mask.words();
+    const double bias_lo = model.config().metastable_bias_min;
+    const double bias_range = model.config().metastable_bias_max - bias_lo;
+    constexpr size_t kChunk = 16;
+    uint64_t meta_masks[kChunk];
+    uint64_t rcells[kChunk * 64], rkeys[kChunk * 64];
+    uint64_t rdraws[kChunk * 64], rcuts[kChunk * 64];
+    for (size_t w0 = 0; w0 < nwords; w0 += kChunk) {
+        const size_t wend = std::min(w0 + kChunk, nwords);
+        unsigned lanes = 0;
+        for (size_t w = w0; w < wend; ++w) {
+            // Tail lanes of fingerprint and mask are zero, so an
+            // all-ones loss word is safe on the array's last word.
+            const uint64_t lost = loss ? loss[w] : ~uint64_t{0};
+            meta_masks[w - w0] = 0;
+            if (!lost)
+                continue; // whole word survives untouched
+            // Lost stable cells take their fingerprint bit; lost
+            // metastable cells queue for the chunk's re-roll batch.
+            words[w] = (words[w] & ~lost) | (fp[w] & lost & ~ms[w]);
+            const uint64_t meta_lost = lost & ms[w];
+            meta_masks[w - w0] = meta_lost;
+            for (uint64_t m = meta_lost; m; m &= m - 1) {
+                const int b = std::countr_zero(m);
+                const uint64_t cell = cell0 + w * 64 + b;
+                rcells[lanes] = cell;
+                rkeys[lanes] = hashCombine(cell, nonce);
+                ++lanes;
+            }
+        }
+        if (!lanes)
             continue;
-        words[w] = (words[w] & ~m) |
-                   rerolledDraws(model, w * 64, m, nonce,
-                                 cutoffs ? cutoffs + rank[w] : nullptr);
+        cellBitsBatchIndexed(rng, rkeys,
+                             RetentionModel::ChannelMetastableDraw,
+                             lanes, rdraws);
+        cellBitsBatchIndexed(rng, rcells,
+                             RetentionModel::ChannelMetastableBias, lanes,
+                             rcuts);
+        for (unsigned i = 0; i < lanes; ++i) {
+            const double theta =
+                bias_lo +
+                CellRng::uniformFromRaw(rcuts[i] >> 11) * bias_range;
+            rcuts[i] = CellRng::rawUniformCountBelow(theta);
+        }
+        unsigned lane = 0;
+        for (size_t w = w0; w < wend; ++w) {
+            uint64_t add = 0;
+            for (uint64_t m = meta_masks[w - w0]; m; m &= m - 1, ++lane) {
+                const uint64_t value = (rdraws[lane] >> 11) < rcuts[lane];
+                add |= value << std::countr_zero(m);
+            }
+            words[w] |= add;
+        }
     }
 }
 
@@ -146,6 +144,7 @@ MemoryArray::MemoryArray(std::string name, size_t size_bytes,
     arena_.reserve(2 * PlaneArena::alignWords(BitPlane::wordsFor(nbits)));
     bits_ = arena_.allocBits(nbits);
     loss_ = arena_.allocBits(nbits);
+    pages_.resize((bits_.sizeWords() + kPageWords - 1) / kPageWords);
 }
 
 void
@@ -182,6 +181,7 @@ MemoryArray::applyLoss(SurvivesFn survives)
     // Invocation-granularity counts: one add per pass, never per cell.
     telemetry::add(telemetry::Counter::KernelReference);
     telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
+    materializeAll();
     const uint64_t nonce = power_up_count_;
     uint64_t lost = 0;
     for (size_t byte = 0; byte < size_bytes_; ++byte) {
@@ -212,6 +212,7 @@ MemoryArray::age(double years)
     requirePowered("age");
     if (years <= 0.0)
         fatal("MemoryArray ", name_, ": aging needs positive duration");
+    materializeAll();
     if (imprint_.empty())
         imprint_.assign(sizeBits(), 0.0f);
     for (size_t byte = 0; byte < size_bytes_; ++byte) {
@@ -233,27 +234,31 @@ MemoryArray::imprintYears(uint64_t bit) const
     return imprint_[bit];
 }
 
-void
-MemoryArray::ensureFingerprint() const
+const FingerprintPlanes &
+MemoryArray::pagePlanes(size_t p) const
 {
-    if (planes_)
-        return;
-    FingerprintKey key;
-    key.chip_seed = chip_seed_;
-    key.array_id = array_id_;
-    key.size_bytes = size_bytes_;
-    key.metastable_fraction = model_.config().metastable_fraction;
-    key.metastable_bias_min = model_.config().metastable_bias_min;
-    key.metastable_bias_max = model_.config().metastable_bias_max;
-    planes_ = acquireFingerprintPlanes(
-        key, [this] { return buildFingerprintPlanes(); });
+    Page &page = pages_[p];
+    if (!page.planes) {
+        FingerprintKey key;
+        key.chip_seed = chip_seed_;
+        key.array_id = array_id_;
+        key.size_bytes = size_bytes_;
+        key.page = p;
+        key.metastable_fraction = model_.config().metastable_fraction;
+        key.metastable_bias_min = model_.config().metastable_bias_min;
+        key.metastable_bias_max = model_.config().metastable_bias_max;
+        page.planes = acquireFingerprintPlanes(
+            key, [&] { return buildFingerprintPlanes(p); });
+    }
+    return *page.planes;
 }
 
 FingerprintPlanes
-MemoryArray::buildFingerprintPlanes() const
+MemoryArray::buildFingerprintPlanes(size_t p) const
 {
     FingerprintPlanes planes;
-    const uint64_t nbits = sizeBits();
+    const uint64_t cell0 = pageCell0(p);
+    const uint64_t nbits = pageBits(p);
     planes.arena.reserve(
         3 * PlaneArena::alignWords(BitPlane::wordsFor(nbits)));
     planes.fingerprint = planes.arena.allocBits(nbits);
@@ -276,63 +281,142 @@ MemoryArray::buildFingerprintPlanes() const
     uint64_t *ms = planes.metastable_mask.words();
     const size_t nwords = planes.fingerprint.sizeWords();
     for (size_t w = 0; w < nwords; ++w) {
-        const uint64_t cell0 = w * 64;
         const unsigned n =
-            static_cast<unsigned>(std::min<uint64_t>(64, nbits - cell0));
-        fp[w] = cellLsbMaskBatch(rng, cell0,
+            static_cast<unsigned>(std::min<uint64_t>(64, nbits - w * 64));
+        fp[w] = cellLsbMaskBatch(rng, cell0 + w * 64,
                                  RetentionModel::ChannelPowerUp, n);
         // Metastable iff the raw stability hash is below the fraction
         // threshold: complement of the >= mask, valid lanes only.
         uint64_t in_band;
         const uint64_t ge = cellBandMaskBatch(
-            rng, cell0, RetentionModel::ChannelStability, n,
+            rng, cell0 + w * 64, RetentionModel::ChannelStability, n,
             meta_min_raw, meta_min_raw, &in_band);
         ms[w] = ~ge & laneMask(n);
     }
-    // Rank-compressed bias cutoff table: the bias theta is
-    // wake-independent silicon, so its rawUniformCountBelow() image is
-    // derived once per die and every later re-roll becomes one integer
-    // compare. Skipped above the plane-cache cap — the table costs
-    // 8 bytes per metastable cell, which DRAM-scale planes do not pay.
-    if (nbits <= kPlaneCacheMaxBits) {
-        const double bias_lo = model_.config().metastable_bias_min;
-        const double bias_range =
-            model_.config().metastable_bias_max - bias_lo;
-        planes.meta_rank.resize(nwords);
-        planes.meta_cutoffs.reserve(
-            static_cast<size_t>(planes.metastable_mask.popcount()));
-        uint64_t biases[64];
-        for (size_t w = 0; w < nwords; ++w) {
-            planes.meta_rank[w] =
-                static_cast<uint32_t>(planes.meta_cutoffs.size());
-            if (!ms[w])
-                continue;
-            const unsigned n = static_cast<unsigned>(
-                std::min<uint64_t>(64, nbits - w * 64));
-            cellBitsBatch(rng, w * 64,
-                          RetentionModel::ChannelMetastableBias, n,
-                          biases);
-            for (uint64_t m = ms[w]; m; m &= m - 1) {
-                const int b = std::countr_zero(m);
-                const double theta =
-                    bias_lo +
-                    CellRng::uniformFromRaw(biases[b] >> 11) * bias_range;
-                planes.meta_cutoffs.push_back(
-                    CellRng::rawUniformCountBelow(theta));
-            }
-        }
-    }
     // First-power-on contents: the fingerprint with every metastable
     // cell at its nonce-1 draw. Trials all start from this exact state,
-    // so sharing it turns their first power-up into a memcpy.
-    planes.initial_bits.copyFrom(planes.fingerprint);
-    rerollMetastable(planes.initial_bits, planes.metastable_mask, model_,
-                     /*nonce=*/1,
-                     planes.meta_cutoffs.empty()
-                         ? nullptr
-                         : planes.meta_cutoffs.data(),
-                     planes.meta_rank.data());
+    // so sharing it turns their first wake of the page into a memcpy.
+    resolveLost(planes.initial_bits.words(), nullptr, nwords, cell0,
+                planes, model_, /*nonce=*/1);
     return planes;
+}
+
+size_t
+MemoryArray::pageWords(size_t p) const
+{
+    return std::min(kPageWords, bits_.sizeWords() - pageWord0(p));
+}
+
+uint64_t
+MemoryArray::pageBits(size_t p) const
+{
+    return std::min<uint64_t>(kPageWords * 64, sizeBits() - pageCell0(p));
+}
+
+void
+MemoryArray::dropLog(Page &page) const
+{
+    for (unsigned i = 0; i < page.deferred; ++i)
+        free_slots_.push_back(page.log[i].slot);
+    page.deferred = 0;
+}
+
+void
+MemoryArray::materializePending(size_t p) const
+{
+    Page &page = pages_[p];
+    const FingerprintPlanes &planes = pagePlanes(p);
+    uint64_t *words = bits_.words() + pageWord0(p);
+    const size_t nwords = pageWords(p);
+    const uint64_t cell0 = pageCell0(p);
+    if (page.wake_nonce == 1) {
+        // The page's first wake is precomputed in the shared planes.
+        std::memcpy(words, planes.initial_bits.words(),
+                    nwords * sizeof(uint64_t));
+    } else if (page.wake_nonce) {
+        resolveLost(words, nullptr, nwords, cell0, planes, model_,
+                    page.wake_nonce);
+    }
+    // Replay the deferred events in order, exactly as they would have
+    // been applied at event time.
+    for (unsigned i = 0; i < page.deferred; ++i)
+        resolveLost(words, &log_words_[page.log[i].slot * kPageWords],
+                    nwords, cell0, planes, model_, page.log[i].nonce);
+    page.wake_nonce = 0;
+    dropLog(page);
+    telemetry::drainHashStats();
+}
+
+void
+MemoryArray::materializeRange(size_t addr, size_t n) const
+{
+    if (n == 0)
+        return;
+    for (size_t p = addr / kPageBytes; p <= (addr + n - 1) / kPageBytes;
+         ++p)
+        materialize(p);
+}
+
+void
+MemoryArray::materializeAll() const
+{
+    for (size_t p = 0; p < pages_.size(); ++p)
+        materialize(p);
+}
+
+void
+MemoryArray::discardPage(size_t p)
+{
+    pages_[p].wake_nonce = 0;
+    dropLog(pages_[p]);
+}
+
+void
+MemoryArray::deferLoss(size_t p, const uint64_t *loss, uint64_t lost,
+                       uint64_t nonce)
+{
+    Page &page = pages_[p];
+    const size_t nwords = pageWords(p);
+    if (lost == pageBits(p)) {
+        // Every cell lost: whatever the page held, it now holds its
+        // power-up resolve at this nonce.
+        page.wake_nonce = nonce;
+        dropLog(page);
+        return;
+    }
+    if (page.deferred == kMaxDeferredLoss) {
+        materialize(p);
+        resolveLost(bits_.words() + pageWord0(p), loss, nwords,
+                    pageCell0(p), pagePlanes(p), model_, nonce);
+        return;
+    }
+    uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = static_cast<uint32_t>(log_words_.size() / kPageWords);
+        log_words_.resize(log_words_.size() + kPageWords);
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    std::memcpy(&log_words_[slot * kPageWords], loss,
+                nwords * sizeof(uint64_t));
+    page.log[page.deferred++] = {nonce, slot};
+}
+
+MemoryArray::PageInfo
+MemoryArray::pageInfo(size_t page) const
+{
+    const Page &pg = pages_.at(page);
+    return {pg.materialized(), pg.deferred};
+}
+
+size_t
+MemoryArray::pagesWithPlanes() const
+{
+    size_t n = 0;
+    for (const Page &page : pages_)
+        n += page.planes != nullptr;
+    return n;
 }
 
 bool
@@ -382,36 +466,17 @@ MemoryArray::applyLossFast(uint64_t channel,
                        ? telemetry::Counter::KernelAvx512
                        : telemetry::Counter::KernelScalar);
     telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
-    ensureFingerprint();
     const uint64_t nonce = power_up_count_;
     const CellRng &rng = model_.rng();
     const uint32_t *plane = cachedPlane(channel);
-    const uint64_t *cut_table =
-        planes_->meta_cutoffs.empty() ? nullptr
-                                      : planes_->meta_cutoffs.data();
-    const uint32_t *cut_rank = planes_->meta_rank.data();
     const uint64_t nbits = sizeBits();
-    const size_t nwords = bits_.sizeWords();
     uint64_t *words = bits_.words();
     uint64_t *loss_words = loss_.words();
-    const uint64_t *fp = planes_->fingerprint.words();
-    const uint64_t *ms = planes_->metastable_mask.words();
     uint64_t lost = 0;
-    // Lost metastable cells re-roll through the gathered hash batch.
-    // At typical loss rates only a few bits per word re-roll, so
-    // word-at-a-time batches would run at 1-4 of 8 lanes; accumulating
-    // the re-roll set over a 16-word chunk keeps the batch full and
-    // amortises the per-call cost ~16x.
-    constexpr size_t kChunk = 16;
-    uint64_t meta_masks[kChunk];
-    uint64_t rcells[kChunk * 64], rkeys[kChunk * 64];
-    uint64_t rdraws[kChunk * 64], rcuts[kChunk * 64];
-    const double bias_lo = model_.config().metastable_bias_min;
-    const double bias_range =
-        model_.config().metastable_bias_max - bias_lo;
-    for (size_t w0 = 0; w0 < nwords; w0 += kChunk) {
-        const size_t wend = std::min(w0 + kChunk, nwords);
-        unsigned lanes = 0;
+    for (size_t p = 0; p < pages_.size(); ++p) {
+        const size_t w0 = pageWord0(p);
+        const size_t wend = w0 + pageWords(p);
+        uint64_t page_lost = 0;
         for (size_t w = w0; w < wend; ++w) {
             const uint64_t cell0 = w * 64;
             const unsigned n = static_cast<unsigned>(
@@ -437,57 +502,19 @@ MemoryArray::applyLossFast(uint64_t channel,
                     (static_cast<uint64_t>(scalarDies(cell0 + b)) << b);
             }
             loss_words[w] = loss;
-            meta_masks[w - w0] = 0;
-            if (!loss)
-                continue; // whole word survives untouched
-            lost += std::popcount(loss);
-            // Lost stable cells take their fingerprint bit; lost
-            // metastable cells queue for the chunk's re-roll batch.
-            words[w] = (words[w] & ~loss) | (fp[w] & loss & ~ms[w]);
-            const uint64_t meta_lost = loss & ms[w];
-            meta_masks[w - w0] = meta_lost;
-            for (uint64_t m = meta_lost; m; m &= m - 1) {
-                const int b = std::countr_zero(m);
-                const uint64_t cell = cell0 + b;
-                rcells[lanes] = cell;
-                rkeys[lanes] = hashCombine(cell, nonce);
-                if (cut_table) {
-                    // Rank of this cell's cutoff: the word's base rank
-                    // plus the metastable cells before it in the word.
-                    rcuts[lanes] = cut_table
-                        [cut_rank[w] +
-                         std::popcount(ms[w] & ((uint64_t{1} << b) - 1))];
-                }
-                ++lanes;
-            }
+            page_lost += std::popcount(loss);
         }
-        if (!lanes)
+        if (!page_lost)
             continue;
-        cellBitsBatchIndexed(rng, rkeys,
-                             RetentionModel::ChannelMetastableDraw,
-                             lanes, rdraws);
-        if (!cut_table) {
-            // Same double math as metastableTheta(): bit-exact with the
-            // reference draw (see rerolledDraws).
-            cellBitsBatchIndexed(rng, rcells,
-                                 RetentionModel::ChannelMetastableBias,
-                                 lanes, rcuts);
-            for (unsigned i = 0; i < lanes; ++i) {
-                const double theta =
-                    bias_lo +
-                    CellRng::uniformFromRaw(rcuts[i] >> 11) * bias_range;
-                rcuts[i] = CellRng::rawUniformCountBelow(theta);
-            }
-        }
-        unsigned lane = 0;
-        for (size_t w = w0; w < wend; ++w) {
-            uint64_t add = 0;
-            for (uint64_t m = meta_masks[w - w0]; m; m &= m - 1, ++lane) {
-                const uint64_t value = (rdraws[lane] >> 11) < rcuts[lane];
-                add |= value << std::countr_zero(m);
-            }
-            words[w] |= add;
-        }
+        lost += page_lost;
+        // A materialized page whose planes are at hand takes the event
+        // now; any other page logs it, so it derives nothing until read.
+        const Page &page = pages_[p];
+        if (page.materialized() && page.planes)
+            resolveLost(words + w0, loss_words + w0, wend - w0, w0 * 64,
+                        *page.planes, model_, nonce);
+        else
+            deferLoss(p, loss_words + w0, page_lost, nonce);
     }
     last_cells_lost_ = lost;
     telemetry::drainHashStats();
@@ -514,57 +541,50 @@ MemoryArray::resolveAllToPowerUp()
         return;
     }
     loss_.setAll();
+    // Every page's contents are now its power-up resolve at this nonce
+    // (>= 1: the array is never resolved before its first powerUp).
+    const uint64_t nonce = power_up_count_;
+    for (Page &page : pages_) {
+        page.wake_nonce = nonce;
+        page.deferred = 0;
+    }
+    log_words_.clear();
+    free_slots_.clear();
     if (fastKernelEnabled()) {
-        resolveAllToPowerUpFast();
+        // Pending pages wake when first touched.
+        telemetry::add(cellHashBatchAccelerated()
+                           ? telemetry::Counter::KernelAvx512
+                           : telemetry::Counter::KernelScalar);
+        telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
         return;
     }
+    // Reference: resolve every cell now, metastable draws per cell.
     telemetry::add(telemetry::Counter::KernelReference);
     telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
-    ensureFingerprint();
-    const uint64_t nonce = power_up_count_;
-    bits_.copyFrom(planes_->fingerprint);
-    // Metastable cells re-roll on every power-up.
-    for (size_t byte = 0; byte < size_bytes_; ++byte) {
-        const uint8_t msb = planes_->metastable_mask.byteAt(byte);
-        if (!msb)
-            continue;
-        uint8_t v = bits_.byteAt(byte);
-        for (int bit = 0; bit < 8; ++bit) {
-            if (!((msb >> bit) & 1))
+    for (size_t p = 0; p < pages_.size(); ++p) {
+        const FingerprintPlanes &planes = pagePlanes(p);
+        const size_t byte0 = p * kPageBytes;
+        std::memcpy(bits_.words() + pageWord0(p),
+                    planes.fingerprint.words(),
+                    pageWords(p) * sizeof(uint64_t));
+        const size_t bytes = std::min(kPageBytes, size_bytes_ - byte0);
+        for (size_t i = 0; i < bytes; ++i) {
+            const uint8_t msb = planes.metastable_mask.byteAt(i);
+            if (!msb)
                 continue;
-            const uint64_t cell = byte * 8 + bit;
-            const bool value = model_.metastableDraw(cell, nonce);
-            v = (v & ~(1u << bit)) | (static_cast<uint8_t>(value) << bit);
+            uint8_t v = bits_.byteAt(byte0 + i);
+            for (int bit = 0; bit < 8; ++bit) {
+                if (!((msb >> bit) & 1))
+                    continue;
+                const uint64_t cell = (byte0 + i) * 8 + bit;
+                const bool value = model_.metastableDraw(cell, nonce);
+                v = (v & ~(1u << bit)) |
+                    (static_cast<uint8_t>(value) << bit);
+            }
+            bits_.setByte(byte0 + i, v);
         }
-        bits_.setByte(byte, v);
+        pages_[p].wake_nonce = 0;
     }
-}
-
-void
-MemoryArray::resolveAllToPowerUpFast()
-{
-    telemetry::add(cellHashBatchAccelerated()
-                       ? telemetry::Counter::KernelAvx512
-                       : telemetry::Counter::KernelScalar);
-    telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
-    ensureFingerprint();
-    const uint64_t nonce = power_up_count_;
-    if (nonce == 1) {
-        // First ever power-on: the nonce-1 resolve is precomputed in
-        // the shared planes.
-        bits_.copyFrom(planes_->initial_bits);
-        return;
-    }
-    // Metastable cells re-roll on every power-up; stable cells are
-    // fully resolved by the fingerprint copy, so only words with
-    // metastable bits are touched.
-    bits_.copyFrom(planes_->fingerprint);
-    rerollMetastable(bits_, planes_->metastable_mask, model_, nonce,
-                     planes_->meta_cutoffs.empty()
-                         ? nullptr
-                         : planes_->meta_cutoffs.data(),
-                     planes_->meta_rank.data());
-    telemetry::drainHashStats();
 }
 
 void
@@ -711,6 +731,7 @@ MemoryArray::readByte(size_t addr) const
     requirePowered("readByte");
     if (addr >= size_bytes_)
         panic("MemoryArray ", name_, ": read out of range: ", addr);
+    materialize(addr / kPageBytes);
     return bits_.byteAt(addr);
 }
 
@@ -720,6 +741,7 @@ MemoryArray::writeByte(size_t addr, uint8_t value)
     requirePowered("writeByte");
     if (addr >= size_bytes_)
         panic("MemoryArray ", name_, ": write out of range: ", addr);
+    materialize(addr / kPageBytes);
     bits_.setByte(addr, value);
 }
 
@@ -729,6 +751,7 @@ MemoryArray::read(size_t addr, std::span<uint8_t> out) const
     requirePowered("read");
     if (addr + out.size() > size_bytes_)
         panic("MemoryArray ", name_, ": block read out of range");
+    materializeRange(addr, out.size());
     bits_.readBytes(addr, out.data(), out.size());
 }
 
@@ -738,6 +761,17 @@ MemoryArray::write(size_t addr, std::span<const uint8_t> data)
     requirePowered("write");
     if (addr + data.size() > size_bytes_)
         panic("MemoryArray ", name_, ": block write out of range");
+    if (data.empty())
+        return;
+    const size_t end = addr + data.size();
+    for (size_t p = addr / kPageBytes; p <= (end - 1) / kPageBytes; ++p) {
+        // A page the write covers whole is never derived.
+        const size_t lo = p * kPageBytes;
+        if (addr <= lo && end >= std::min(lo + kPageBytes, size_bytes_))
+            discardPage(p);
+        else
+            materialize(p);
+    }
     bits_.writeBytes(addr, data.data(), data.size());
 }
 
@@ -747,6 +781,7 @@ MemoryArray::readWord64(size_t addr) const
     requirePowered("readWord64");
     if (addr + 8 > size_bytes_)
         panic("MemoryArray ", name_, ": word read out of range: ", addr);
+    materializeRange(addr, 8);
     uint64_t v;
     bits_.readBytes(addr, reinterpret_cast<uint8_t *>(&v), 8);
     return v;
@@ -758,6 +793,7 @@ MemoryArray::writeWord64(size_t addr, uint64_t value)
     requirePowered("writeWord64");
     if (addr + 8 > size_bytes_)
         panic("MemoryArray ", name_, ": word write out of range: ", addr);
+    materializeRange(addr, 8);
     bits_.writeBytes(addr, reinterpret_cast<const uint8_t *>(&value), 8);
 }
 
@@ -767,6 +803,7 @@ MemoryArray::snapshot() const
     if (state_ == PowerState::Off)
         panic("MemoryArray ", name_,
               ": snapshot of an unpowered array is physically meaningless");
+    materializeAll();
     return bits_.toBytes();
 }
 
@@ -774,6 +811,8 @@ void
 MemoryArray::fill(uint8_t value)
 {
     requirePowered("fill");
+    for (size_t p = 0; p < pages_.size(); ++p)
+        discardPage(p);
     bits_.fillBytes(value);
 }
 

@@ -22,6 +22,23 @@
  * modeled cells) stay cache- and bandwidth-friendly. The byte API
  * below (readByte/write/snapshot/...) is a thin view over the packed
  * plane; on little-endian hosts block transfers are memcpys.
+ *
+ * Silicon is derived lazily, one 4 KiB page (512 words) at a time.
+ * A page is *materialized* when its stored words are real, or
+ * *pending*: its contents are then a pure function of the array's
+ * state — a base (the power-up resolve at some nonce, or the stored
+ * words as last written) plus a short log of loss events deferred
+ * since then, each recorded as its nonce and the page's words of the
+ * event's loss mask. Reads, snapshot(), age() and partial-page writes
+ * materialize the pages they touch (fetching or deriving the page's
+ * power-up planes and replaying the log); a write that covers a whole
+ * page, and fill(), materialize it without deriving anything. Loss
+ * masks are still computed for every cell at event time, so
+ * lastLossMask() and lastCellsLost() are exact. The Reference kernel
+ * and aged arrays never leave a page pending. Pages are materialized
+ * from const readers, so a MemoryArray must not be shared across
+ * threads without external synchronisation (campaign trials each own
+ * their Soc).
  */
 
 #ifndef VOLTBOOT_SRAM_MEMORY_ARRAY_HH
@@ -171,7 +188,48 @@ class MemoryArray
     /** Signed imprint-years on bit @p bit (positive leans 1). */
     double imprintYears(uint64_t bit) const;
 
+    /** Array bytes per lazily derived page (512 words of cells). */
+    static constexpr size_t kPageBytes = 4096;
+    /** Loss events a pending page defers before it materializes. */
+    static constexpr unsigned kMaxDeferredLoss = 4;
+
+    size_t pageCount() const { return pages_.size(); }
+
+    /** Lazy-derivation state of one page (diagnostics/tests). */
+    struct PageInfo
+    {
+        bool materialized; ///< Stored words are real.
+        unsigned deferred; ///< Loss events logged since the base.
+    };
+    PageInfo pageInfo(size_t page) const;
+
+    /** Pages whose power-up planes this array has fetched from the
+     * fingerprint cache or derived (diagnostics/tests). */
+    size_t pagesWithPlanes() const;
+
   private:
+    static constexpr size_t kPageWords = kPageBytes / 8;
+
+    /** A loss event deferred on a pending page: its power-up nonce and
+     * the slot of log_words_ holding the page's loss-mask words. */
+    struct DeferredLoss
+    {
+        uint64_t nonce;
+        uint32_t slot;
+    };
+    struct Page
+    {
+        /** Nonzero: the base contents are the power-up resolve at this
+         * nonce. Zero: the base is the page's stored words. */
+        uint64_t wake_nonce = 0;
+        unsigned deferred = 0;
+        DeferredLoss log[kMaxDeferredLoss];
+        /** This page's power-up planes, once needed. */
+        std::shared_ptr<const FingerprintPlanes> planes;
+
+        bool materialized() const { return !wake_nonce && !deferred; }
+    };
+
     void requirePowered(const char *op) const;
     /** Reference kernel: resolve every cell that fails @p survives to
      * its power-up state, evaluating the full per-cell parameter
@@ -194,21 +252,52 @@ class MemoryArray
     void applyLossFast(uint64_t channel,
                        RetentionModel::ThresholdBand band,
                        bool loss_at_or_above, ScalarDiesFn scalarDies);
-    /** Every cell resolves to its power-up state. */
+    /** Every cell resolves to its power-up state: the fast kernel
+     * marks every page pending at the current nonce; the Reference
+     * kernel resolves every cell now. */
     void resolveAllToPowerUp();
-    /** Word-masked resolveAllToPowerUp: copy the fingerprint plane and
-     * re-roll metastable cells via batched draws, touching only words
-     * with metastable bits. */
-    void resolveAllToPowerUpFast();
     /** True when the threshold kernels may run (runtime selection says
      * fast and no aging imprint modulates power-up draws). */
     bool fastKernelEnabled() const;
-    /** Lazily acquire the die's power-up planes (fingerprint,
-     * metastable mask, first-power-on contents) from the process-wide
-     * cache, deriving them on a miss. */
-    void ensureFingerprint() const;
-    /** Derive this die's power-up planes from scratch. */
-    FingerprintPlanes buildFingerprintPlanes() const;
+    /** Page @p p's power-up planes (fingerprint, metastable mask,
+     * first-power-on contents), acquired from the process-wide cache
+     * on first use and derived on a miss. */
+    const FingerprintPlanes &pagePlanes(size_t p) const;
+    /** Derive page @p p's power-up planes from scratch. */
+    FingerprintPlanes buildFingerprintPlanes(size_t p) const;
+    /** Page @p p's first word and cell, and its word and cell counts
+     * (only the last page may be short). */
+    size_t pageWord0(size_t p) const { return p * kPageWords; }
+    uint64_t
+    pageCell0(size_t p) const
+    {
+        return uint64_t{pageWord0(p)} * 64;
+    }
+    size_t pageWords(size_t p) const;
+    uint64_t pageBits(size_t p) const;
+    /** Make page @p p's stored words real. Inline: every access
+     * checks, and almost every page it touches already is. */
+    void
+    materialize(size_t p) const
+    {
+        if (!pages_[p].materialized())
+            materializePending(p);
+    }
+    void materializePending(size_t p) const;
+    /** Materialize every page overlapping bytes [addr, addr + n). */
+    void materializeRange(size_t addr, size_t n) const;
+    void materializeAll() const;
+    /** Page @p p is about to be overwritten whole: mark it materialized
+     * without deriving it. */
+    void discardPage(size_t p);
+    /** Log loss event @p loss (page @p p's mask words, @p lost cells
+     * of them set) at @p nonce against page @p p. A whole-page loss
+     * re-bases the page on that wake instead; a full log materializes
+     * the page and applies the event. */
+    void deferLoss(size_t p, const uint64_t *loss, uint64_t lost,
+                   uint64_t nonce);
+    /** Return every deferred-mask slot of @p page to the free list. */
+    void dropLog(Page &page) const;
     /** FastCached: lazily built plane of raw-uniform *buckets* (top 32
      * bits of each cell's 53-bit raw hash — see rawBucketBandMask) for
      * @p channel, or nullptr when caching is off or the array is too
@@ -221,10 +310,18 @@ class MemoryArray
     std::string name_;
     /** Backing storage for the array's own word planes. */
     PlaneArena arena_;
-    /** Stored bits, one bit per cell (cell i == bit i). */
-    BitPlane bits_;
+    /** Stored bits, one bit per cell (cell i == bit i). Pending pages'
+     * words are stale until materialized, which const readers do. */
+    mutable BitPlane bits_;
     /** Loss mask of the most recent loss event (same indexing). */
     BitPlane loss_;
+    /** Per-page lazy-derivation state; see the file comment. Mutable
+     * with bits_'s words: const readers materialize what they touch. */
+    mutable std::vector<Page> pages_;
+    /** Deferred loss-mask slots, kPageWords words each, and the free
+     * list over them. */
+    mutable std::vector<uint64_t> log_words_;
+    mutable std::vector<uint32_t> free_slots_;
     size_t size_bytes_ = 0;
     RetentionModel model_;
     /** Emit a "sram_state" trace event for the @p from -> @p to edge. */
@@ -238,8 +335,6 @@ class MemoryArray
     /** Die identity, the fingerprint-cache key. */
     uint64_t chip_seed_ = 0;
     uint64_t array_id_ = 0;
-    /** Shared immutable power-up planes (see FingerprintPlanes). */
-    mutable std::shared_ptr<const FingerprintPlanes> planes_;
     /** FastCached raw-uniform bucket planes (DRV / retention). */
     mutable std::vector<uint32_t> drv_raw_plane_;
     mutable std::vector<uint32_t> retention_raw_plane_;

@@ -126,6 +126,29 @@ TEST(SweepGrid, ParseRejectsMalformedSpecs)
     EXPECT_THROW(SweepGrid::parse("key=2"), FatalError);
 }
 
+TEST(SweepGrid, AxesHelpListsEveryAttackKind)
+{
+    // The enum ends at KeyRecovery; the name table must cover it all.
+    ASSERT_EQ(std::size(kAttackNames),
+              static_cast<size_t>(AttackKind::KeyRecovery) + 1);
+    const std::string help = SweepGrid::axesHelp();
+    const size_t row = help.find("\nattack ");
+    ASSERT_NE(row, std::string::npos) << help;
+    const std::string attack_row =
+        help.substr(row + 1, help.find('\n', row + 1) - row - 1);
+    // The values column is the row's last field: "a|b|...".
+    const std::string values =
+        "|" + attack_row.substr(attack_row.rfind(' ') + 1) + "|";
+    for (size_t i = 0; i < std::size(kAttackNames); ++i) {
+        const AttackKind kind = static_cast<AttackKind>(i);
+        EXPECT_EQ(kAttackNames[i].kind, kind) << "table out of enum order";
+        const std::string name = toString(kind);
+        EXPECT_NE(values.find("|" + name + "|"), std::string::npos)
+            << name << " missing from: " << attack_row;
+        EXPECT_EQ(attackFromString(name), kind);
+    }
+}
+
 TEST(Campaign, JsonIsByteIdenticalAcrossJobCounts)
 {
     SweepGrid grid;

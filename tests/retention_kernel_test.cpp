@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/trial_runner.hh"
 #include "core/attack.hh"
 #include "os/baremetal.hh"
 #include "os/workloads.hh"
+#include "sim/rng.hh"
 #include "soc/soc.hh"
 #include "sram/fingerprint_cache.hh"
 #include "sram/memory_array.hh"
@@ -312,14 +314,15 @@ struct ScenarioStep
 };
 
 /** A partial-decay off-time for @p model at @p temp (survival strictly
- * between 5% and 95%), found by scanning the decay slope so the
- * scenario works for any cell technology. */
+ * between @p lo and @p hi, by default 5% and 95%), found by scanning
+ * the decay slope so the scenario works for any cell technology. */
 Seconds
-partialDecayOff(const RetentionModel &model, Temperature temp)
+partialDecayOff(const RetentionModel &model, Temperature temp,
+                double lo = 0.05, double hi = 0.95)
 {
     for (double secs = 1e-9; secs < 1e8; secs *= 1.3) {
         const double p = model.expectedSurvival(Seconds(secs), temp);
-        if (p > 0.05 && p < 0.95)
+        if (p > lo && p < hi)
             return Seconds(secs);
     }
     return Seconds(0.0);
@@ -433,6 +436,321 @@ TEST(GoldenEquivalence, AgedArraysForceTheReferencePathAndStillMatch)
             << toString(k) << " aged decay step diverges";
         ASSERT_EQ(got.second, expected.second)
             << toString(k) << " aged droop step diverges";
+    }
+}
+
+// --- Lazy page materialization against the Reference kernel ---
+
+/** What one step of a lazy-array life can observe: a read-out, or a
+ * loss event's count and mask. */
+struct LazyObservation
+{
+    uint64_t cells_lost;
+    std::vector<uint8_t> bytes;
+
+    bool operator==(const LazyObservation &other) const = default;
+};
+
+/** A droop voltage whose raw-hash band loses between @p lo and @p hi
+ * of the cells, found by scanning the config's DRV range. */
+Volt
+partialDroopVolt(const RetentionModel &model, double lo, double hi)
+{
+    const double v0 = model.config().drv_min.volts();
+    const double span = model.config().drv_max.volts() - v0;
+    for (double f = 0.01; f < 1.0; f += 0.01) {
+        const Volt v(v0 + f * span);
+        const double lost =
+            1.0 - static_cast<double>(model.droopLossBand(v).lo) /
+                      CellRng::kRawUniformBuckets;
+        if (lost > lo && lost < hi)
+            return v;
+    }
+    return Volt(v0 + span / 2);
+}
+
+/**
+ * One array life generated from @p seed under the current kernel: a
+ * fixed prologue that reads pages pending with 0, 1 and more than
+ * MemoryArray::kMaxDeferredLoss deferred events (checked through
+ * pageInfo() when the kernel is lazy), then random powerUp, decay,
+ * droop, retain/resume, fill, whole- and partial-page write, read and
+ * snapshot steps. Returns every observation in order.
+ */
+std::vector<LazyObservation>
+lazyLife(const RetentionConfig &config, size_t bytes, uint64_t seed)
+{
+    const bool lazy = retentionKernel() != RetentionKernel::Reference;
+    MemoryArray a("lazy", bytes, config, seed, 9);
+    const RetentionModel model(config, CellRng(seed, 9));
+    const Volt vdd(0.8);
+    const Temperature cold = Temperature::celsius(-110);
+    const Seconds partial_off = partialDecayOff(model, cold);
+    // Survival ~1e-9: the kernel runs per cell, yet whole pages die.
+    const Temperature hot = Temperature::celsius(85);
+    const Seconds page_kill_off = partialDecayOff(model, hot, 1e-11, 1e-7);
+    const Volt droop_v = partialDroopVolt(model, 0.2, 0.8);
+    const size_t page = MemoryArray::kPageBytes;
+    const size_t last = a.pageCount() - 1;
+    Rng rng(seed);
+    std::vector<LazyObservation> obs;
+
+    const auto lossEvent = [&] {
+        obs.push_back({a.lastCellsLost(), a.lastLossMask()});
+    };
+    const auto read = [&](size_t addr, size_t n) {
+        std::vector<uint8_t> out(n);
+        a.read(addr, out);
+        obs.push_back({0, out});
+    };
+    const auto readPage = [&](size_t p) {
+        read(p * page, std::min(page, bytes - p * page));
+    };
+    const auto expectPage = [&](size_t p, bool materialized,
+                                unsigned deferred, const char *where) {
+        if (!lazy)
+            return;
+        const MemoryArray::PageInfo info = a.pageInfo(p);
+        EXPECT_EQ(info.materialized, materialized)
+            << where << ", page " << p;
+        EXPECT_EQ(info.deferred, deferred) << where << ", page " << p;
+    };
+    const auto totalLoss = [&] {
+        a.powerDown();
+        a.powerUp(vdd, Seconds(1e9), hot);
+        lossEvent();
+    };
+    const auto randomBytes = [&](size_t n) {
+        std::vector<uint8_t> out(n);
+        for (uint8_t &b : out)
+            b = static_cast<uint8_t>(rng.next());
+        return out;
+    };
+    // Partial loss events at shifting nonces: a droop, a retention
+    // hold whose power-up bumps the nonce, and a cold partial decay.
+    const auto partialEvent = [&](unsigned kind, double jitter) {
+        const Volt v(droop_v.volts() * jitter);
+        switch (kind % 3) {
+          case 0:
+            a.droopTo(v);
+            lossEvent();
+            break;
+          case 1:
+            a.retainAt(v);
+            lossEvent();
+            a.powerUp(vdd);
+            break;
+          default:
+            a.powerDown();
+            a.powerUp(vdd, Seconds(partial_off.seconds() * jitter), cold);
+            lossEvent();
+        }
+    };
+
+    // Pending, 0 events: the first wake.
+    a.powerUp(vdd);
+    lossEvent();
+    expectPage(last, false, 0, "first wake");
+    readPage(last);
+    expectPage(last, true, 0, "after read");
+
+    // 1 event on a written base: fill materializes without deriving,
+    // a partial droop defers on every underived page.
+    a.fill(0x3c);
+    expectPage(0, true, 0, "fill");
+    a.droopTo(droop_v);
+    lossEvent();
+    if (bytes > page)
+        expectPage(0, false, 1, "droop on filled page");
+    readPage(0);
+
+    // 1 event on a pending wake.
+    totalLoss();
+    a.droopTo(droop_v);
+    lossEvent();
+    expectPage(last, false, 1, "droop on pending page");
+    readPage(last);
+
+    // A whole-page loss inside a partial event re-bases the page on
+    // the event's wake, whatever it deferred before.
+    totalLoss();
+    a.droopTo(droop_v);
+    lossEvent();
+    a.powerDown();
+    a.powerUp(vdd, page_kill_off, hot);
+    lossEvent();
+    expectPage(last, false, 0, "whole-page loss");
+    readPage(last);
+
+    // A write one byte short of the page, at either end, must keep the
+    // pending byte it misses.
+    for (size_t skip_head : {1, 0}) {
+        totalLoss();
+        const size_t len = std::min(page, bytes - last * page);
+        a.write(last * page + skip_head, randomBytes(len - 1));
+        expectPage(last, true, 0, "short write");
+        readPage(last);
+    }
+
+    // More events than the log holds: the page materializes on the
+    // overflowing event (a decay, so it changes bits) and takes the
+    // later ones eagerly. Deepening droops keep every event visible.
+    totalLoss();
+    for (unsigned i = 0; i < MemoryArray::kMaxDeferredLoss + 2; ++i) {
+        partialEvent(i + 1, 1.0 - 0.04 * i);
+        if (i < MemoryArray::kMaxDeferredLoss)
+            expectPage(0, false, i + 1, "deferring");
+        else
+            expectPage(0, true, 0, "overflowed");
+    }
+    obs.push_back({0, a.snapshot()});
+
+    for (int step = 0; step < 60; ++step) {
+        switch (rng.below(10)) {
+          case 0:
+            partialEvent(static_cast<unsigned>(rng.below(3)),
+                         0.7 + 0.6 * rng.uniform());
+            break;
+          case 1:
+            a.powerDown();
+            a.powerUp(vdd, page_kill_off, hot);
+            lossEvent();
+            break;
+          case 2:
+            totalLoss();
+            break;
+          case 3:
+            a.retainAt(Volt(droop_v.volts() * (0.8 + 0.4 * rng.uniform())));
+            lossEvent();
+            a.resumePowered(vdd);
+            break;
+          case 4:
+            a.fill(static_cast<uint8_t>(rng.next()));
+            break;
+          case 5: { // whole page(s), at least one page covered
+            const size_t p = rng.below(a.pageCount());
+            const size_t n =
+                std::min(page * (1 + rng.below(2)), bytes - p * page);
+            a.write(p * page, randomBytes(n));
+            break;
+          }
+          case 6: { // partial page, possibly straddling a boundary
+            const size_t addr = rng.below(bytes);
+            const size_t n = std::min<size_t>(1 + rng.below(64),
+                                              bytes - addr);
+            a.write(addr, randomBytes(n));
+            // A page short of one byte at either end.
+            const size_t p = rng.below(a.pageCount());
+            const size_t len = std::min(page, bytes - p * page);
+            a.write(p * page + rng.below(2), randomBytes(len - 1));
+            break;
+          }
+          case 7: {
+            const size_t addr = rng.below(bytes);
+            read(addr, std::min<size_t>(1 + rng.below(300), bytes - addr));
+            break;
+          }
+          case 8: {
+            const size_t addr = rng.below(bytes - 8);
+            const uint64_t w = a.readWord64(addr);
+            obs.push_back({w, {a.readByte(rng.below(bytes))}});
+            a.writeWord64(rng.below(bytes - 8), rng.next());
+            a.writeByte(rng.below(bytes), static_cast<uint8_t>(w));
+            break;
+          }
+          default:
+            obs.push_back({0, a.snapshot()});
+        }
+    }
+    obs.push_back({0, a.snapshot()});
+    return obs;
+}
+
+void
+expectLazyMatchesReference(const RetentionConfig &config,
+                           const char *config_name)
+{
+    // Neither size is a whole number of pages; the second has a
+    // 17-byte tail page.
+    for (size_t bytes : {size_t{248}, MemoryArray::kPageBytes + 17}) {
+        for (uint64_t seed : {3ull, 0x1a2full}) {
+            std::vector<LazyObservation> expected;
+            {
+                KernelGuard ref(RetentionKernel::Reference);
+                expected = lazyLife(config, bytes, seed);
+            }
+            for (RetentionKernel k :
+                 {RetentionKernel::Fast, RetentionKernel::FastCached}) {
+                KernelGuard guard(k);
+                const auto got = lazyLife(config, bytes, seed);
+                ASSERT_EQ(got.size(), expected.size());
+                for (size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], expected[i])
+                        << config_name << " " << toString(k) << ", "
+                        << bytes << " bytes, seed " << seed
+                        << ", observation " << i;
+            }
+        }
+    }
+}
+
+TEST(LazyMaterialization, SramPagesMatchReferenceAtEveryRead)
+{
+    expectLazyMatchesReference(RetentionConfig::sram6t(), "sram6t");
+}
+
+TEST(LazyMaterialization, DramPagesMatchReferenceAtEveryRead)
+{
+    expectLazyMatchesReference(RetentionConfig::dram(), "dram");
+}
+
+// --- Traffic guard: a fresh trial derives only the pages it needs ---
+
+TEST(LazyMaterialization, FreshTrialsDeriveAFewPercentOfTheDie)
+{
+    CacheCapacityGuard guard;
+    const size_t die_bytes = Soc(socConfigFor("pi4")).siliconBytes();
+    for (AttackKind kind : {AttackKind::VoltBoot, AttackKind::ColdBoot}) {
+        clearFingerprintCache();
+        TrialSpec spec;
+        spec.attack = kind;
+        const TrialRecord rec = runTrial(spec, 0x1a2e);
+        EXPECT_EQ(rec.status, TrialStatus::Ok) << toString(kind);
+        const uint64_t derived = fingerprintCacheStats().derived_bytes;
+        EXPECT_GT(derived, 0u) << toString(kind);
+        EXPECT_LE(derived, die_bytes / 20)
+            << toString(kind) << " derived " << derived << " of "
+            << die_bytes << " bytes";
+    }
+}
+
+TEST(LazyMaterialization, VideoCoreClobberNeverDerivesL2Data)
+{
+    CacheCapacityGuard guard;
+    const auto stage = [](Soc &soc) {
+        soc.powerOn();
+        BareMetalRunner runner(soc);
+        runner.runOn(0, workloads::patternStore(
+                            soc.config().dram_base + 0x40000, 8192, 0xAA));
+    };
+    {
+        Soc soc(socConfigFor("pi4"));
+        stage(soc);
+        VoltBootAttack attack(soc, AttackConfig{});
+        ASSERT_TRUE(attack.execute().rebooted_into_attacker_code);
+        attack.dumpL1(0, L1Ram::DData);
+        EXPECT_EQ(soc.l2Data()->pagesWithPlanes(), 0u) << "voltboot";
+    }
+    {
+        // A partial cold decay logs a loss event on every clobbered
+        // page; the next clobber drops it unread.
+        Soc soc(socConfigFor("pi4"));
+        stage(soc);
+        ColdBootAttack attack(soc, Temperature::celsius(-40),
+                              Seconds::milliseconds(5));
+        ASSERT_TRUE(attack.powerCycleAndBoot());
+        attack.dumpL1(0, L1Ram::DData);
+        EXPECT_EQ(soc.l2Data()->pagesWithPlanes(), 0u) << "coldboot";
     }
 }
 

@@ -4,8 +4,8 @@
 Single source of truth for what exists:
 
  - The ``AttackKind`` enum (searched for in ``src/core/attack.hh`` and
-   ``src/campaign/sweep_grid.hh`` -- it has moved once already) and its
-   ``toString`` switch in ``src/campaign/sweep_grid.cc``, which names
+   ``src/campaign/sweep_grid.hh`` -- it has moved once already) and the
+   ``kAttackNames`` table in ``src/campaign/sweep_grid.hh``, which names
    every attack the sweep engine accepts.
  - The ``axes[]`` table inside ``SweepGrid::axesHelp()`` in
    ``src/campaign/sweep_grid.cc``, which is exactly what
@@ -29,11 +29,11 @@ import sys
 
 ENUM_FILES = ("src/core/attack.hh", "src/campaign/sweep_grid.hh")
 GRID_CC = "src/campaign/sweep_grid.cc"
+GRID_HH = "src/campaign/sweep_grid.hh"
 DOC = "docs/ATTACKS.md"
 
 ENUM_RE = re.compile(r"enum\s+class\s+AttackKind\s*{([^}]*)}", re.S)
-CASE_RE = re.compile(
-    r'case\s+AttackKind::(\w+):\s*return\s+"([a-z0-9-]+)"')
+NAME_RE = re.compile(r'\{AttackKind::(\w+),\s*"([a-z0-9-]+)"\}')
 AXIS_RE = re.compile(r'\{"([a-z0-9-]+)",')
 
 
@@ -56,9 +56,8 @@ def enum_members(root):
 
 
 def attack_names(root):
-    text = read(root, GRID_CC)
-    # The first run of AttackKind cases is the toString switch.
-    return {enum: name for enum, name in CASE_RE.findall(text)}
+    return {enum: name
+            for enum, name in NAME_RE.findall(read(root, GRID_HH))}
 
 
 def axis_keys(root):
@@ -82,8 +81,8 @@ def main():
     for member in members:
         if member not in names:
             problems.append(
-                f"{GRID_CC}: AttackKind::{member} (from {enum_file}) "
-                "has no toString name")
+                f"{GRID_HH}: AttackKind::{member} (from {enum_file}) "
+                "has no kAttackNames entry")
     axes = axis_keys(root)
     if not axes:
         problems.append(f"{GRID_CC}: no axes[] table in axesHelp()")
