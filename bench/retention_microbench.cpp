@@ -6,10 +6,10 @@
  * Times the three state transitions the attack stack spends its life
  * in — full power-up resolution, unpowered decay, and a supply droop —
  * under each retention kernel (reference scalar path, fast threshold
- * path, fast with cached raw planes), reporting cells/sec and the
- * speedup over the reference path. The kernels are bit-exact by
- * construction; this bench re-asserts it by comparing every final
- * snapshot and loss count against the reference run before reporting.
+ * path), reporting cells/sec and the speedup over the reference path.
+ * The kernels are bit-exact by construction; this bench re-asserts it
+ * by comparing every final snapshot and loss count against the
+ * reference run before reporting.
  *
  * With --sizes the bench instead sweeps the bit-sliced plane kernels
  * across array sizes (64 KiB to 256 MiB is the intended curve) and
@@ -159,11 +159,10 @@ struct ScenarioRun
 
 /**
  * One timed scenario under the currently selected kernel. The array is
- * rebuilt per run (same seed => same silicon), warmed with one untimed
- * iteration so FastCached pays its plane-build cost outside the timed
- * region, mirroring steady-state campaign use. Every iteration ends by
- * reading the whole array back, so the pages the fast kernels leave
- * pending are resolved inside the timed region, not after it.
+ * rebuilt per run (same seed => same silicon) and run once untimed
+ * before the timed repetitions. Every iteration ends by reading the
+ * whole array back, so the pages the fast kernel leaves pending are
+ * resolved inside the timed region, not after it.
  */
 ScenarioRun
 runScenario(const std::string &scenario, size_t bytes, unsigned reps)
@@ -186,7 +185,7 @@ runScenario(const std::string &scenario, size_t bytes, unsigned reps)
         array.read(0, readout);
     };
 
-    iteration(); // warm-up: fingerprint + cached planes
+    iteration(); // warm-up
     ScenarioRun run;
     const auto t0 = std::chrono::steady_clock::now();
     for (unsigned r = 0; r < reps; ++r)
@@ -398,8 +397,7 @@ runPlaneScaling(const std::vector<size_t> &sizes, unsigned reps,
             ScenarioRun reference;
             bool first_kernel = true;
             for (RetentionKernel kernel :
-                 {RetentionKernel::Reference, RetentionKernel::Fast,
-                  RetentionKernel::FastCached}) {
+                 {RetentionKernel::Reference, RetentionKernel::Fast}) {
                 if (kernel == RetentionKernel::Reference && !full_ref)
                     continue;
                 KernelScope scope(kernel);
@@ -545,8 +543,7 @@ main(int argc, char **argv)
               << " cells), " << reps << " reps per scenario\n\n";
 
     const RetentionKernel kernels[] = {RetentionKernel::Reference,
-                                       RetentionKernel::Fast,
-                                       RetentionKernel::FastCached};
+                                       RetentionKernel::Fast};
     const char *scenarios[] = {"powerup_resolve", "decay_survival",
                                "droop"};
 

@@ -14,8 +14,8 @@
 #include <iostream>
 
 #include "core/attack.hh"
-#include "crypto/key_finder.hh"
 #include "crypto/onchip_crypto.hh"
+#include "keyfind/schedule_scan.hh"
 #include "soc/soc.hh"
 
 using namespace voltboot;
@@ -72,8 +72,9 @@ main()
     std::cout << "attacker: L1D dump contains the plaintext binary at "
               << hits.size() << " offsets\n";
 
-    KeyFinder finder;
-    const auto cand = finder.best(dump);
+    const auto schedules = keyfind::scheduleScan(dump, KeyFinderConfig{});
+    const KeyCandidate *cand =
+        schedules.empty() ? nullptr : &schedules.front();
     if (cand) {
         std::cout << "attacker: AES schedule found; key = ";
         for (uint8_t b : cand->key)

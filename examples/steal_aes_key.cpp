@@ -25,8 +25,8 @@
 #include <optional>
 
 #include "core/attack.hh"
-#include "crypto/key_finder.hh"
 #include "crypto/onchip_crypto.hh"
+#include "keyfind/schedule_scan.hh"
 #include "soc/soc.hh"
 #include "trace/trace.hh"
 
@@ -85,29 +85,29 @@ main(int argc, char **argv)
     const MemoryImage regs = attack.dumpVectorRegisters(0);
     std::cout << "\nattacker: 512-byte vector register dump in hand\n";
 
-    KeyFinder finder;
-    const auto hit = finder.best(regs);
-    if (!hit) {
+    const auto hits = keyfind::scheduleScan(regs, KeyFinderConfig{});
+    if (hits.empty()) {
         std::cout << "no key schedule found\n";
         return 1;
     }
-    std::cout << "aeskeyfind: AES-" << hit->key_bytes * 8
-              << " schedule at register-file offset " << hit->offset
-              << " with " << hit->bit_errors << " bit errors\n";
+    const KeyCandidate &hit = hits.front();
+    std::cout << "aeskeyfind: AES-" << hit.key_bytes * 8
+              << " schedule at register-file offset " << hit.offset
+              << " with " << hit.bit_errors << " bit errors\n";
     std::cout << "recovered key: ";
-    for (uint8_t b : hit->key)
+    for (uint8_t b : hit.key)
         std::printf("%02x", b);
-    std::cout << (hit->key == disk_key ? "  (matches victim's key)"
+    std::cout << (hit.key == disk_key ? "  (matches victim's key)"
                                        : "  (MISMATCH)")
               << "\n";
 
     // Decrypt the stolen sector with the recovered key.
-    Aes aes(hit->key);
+    Aes aes(hit.key);
     auto recovered = ciphertext;
     aes.decryptBlock(recovered);
     std::cout << "decrypted sector: "
               << std::string(reinterpret_cast<char *>(recovered.data()),
                              15)
               << "\n";
-    return hit->key == disk_key ? 0 : 1;
+    return hit.key == disk_key ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "campaign/sweep_grid.hh"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -158,6 +159,9 @@ parseDoubleStrict(const std::string &text, const char *what)
         std::from_chars(t.data(), t.data() + t.size(), value);
     if (ec != std::errc() || ptr != t.data() + t.size())
         fatal("malformed ", what, " value '", text, "'");
+    // from_chars accepts nan/inf, which JSON cannot carry.
+    if (!std::isfinite(value))
+        fatal("non-finite ", what, " value '", text, "'");
     return value;
 }
 

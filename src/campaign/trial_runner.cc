@@ -6,6 +6,7 @@
 #include "crypto/key_finder.hh"
 #include "crypto/onchip_crypto.hh"
 #include "keyfind/engine.hh"
+#include "keyfind/schedule_scan.hh"
 #include "os/baremetal.hh"
 #include "os/workloads.hh"
 #include "report/trace_reader.hh"
@@ -150,10 +151,10 @@ score(TrialRecord &rec, const MemoryImage &dump, const Victim &victim)
     rec.accuracy = 1.0 - rec.bit_error_rate;
     if (!victim.planted_key.empty()) {
         rec.key_planted = true;
-        const KeyFinder finder;
-        if (const auto hit = finder.best(dump)) {
+        const auto hits = keyfind::scheduleScan(dump, KeyFinderConfig{});
+        if (!hits.empty()) {
             rec.key_found = true;
-            rec.key_exact = hit->key == victim.planted_key;
+            rec.key_exact = hits.front().key == victim.planted_key;
         }
     }
     rec.status = TrialStatus::Ok;

@@ -91,24 +91,6 @@ bitsLanes(const ChainConsts &c, __m512i cell)
 }
 
 __attribute__((target("avx512f,avx512dq"))) void
-cellBitsAvx512(uint64_t base, uint64_t cell0, uint64_t channel,
-               unsigned n, uint64_t *out)
-{
-    const ChainConsts c = chainConsts(base, channel);
-    const __m512i step = _mm512_set1_epi64(8);
-    __m512i cell = _mm512_add_epi64(
-        _mm512_set1_epi64(static_cast<long long>(cell0)),
-        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-    unsigned i = 0;
-    for (; i + 8 <= n; i += 8, cell = _mm512_add_epi64(cell, step))
-        _mm512_storeu_si512(out + i, bitsLanes(c, cell));
-    // Scalar tail for ragged batch sizes.
-    for (; i < n; ++i)
-        out[i] = splitmix64(
-            hashCombine(base, hashCombine(cell0 + i, channel)));
-}
-
-__attribute__((target("avx512f,avx512dq"))) void
 cellBitsIndexedAvx512(uint64_t base, const uint64_t *keys,
                       uint64_t channel, unsigned n, uint64_t *out)
 {
@@ -162,35 +144,6 @@ cellBandMaskAvx512(uint64_t base, uint64_t cell0, uint64_t channel,
 }
 
 __attribute__((target("avx512f,avx512dq"))) uint64_t
-rawBucketBandMaskAvx512(const uint32_t *buckets, unsigned n,
-                        uint32_t lo_b, uint32_t hi_b, uint64_t *in_band)
-{
-    const __m512i lo_v = _mm512_set1_epi32(static_cast<int>(lo_b));
-    const __m512i hi_v = _mm512_set1_epi32(static_cast<int>(hi_b));
-    uint64_t ge = 0, band = 0;
-    unsigned i = 0;
-    // 32-bit lanes: sixteen buckets per compare, twice the lane count
-    // (and half the load bandwidth) of the 64-bit raw compare.
-    for (; i + 16 <= n; i += 16) {
-        const __m512i c = _mm512_loadu_si512(buckets + i);
-        const __mmask16 gt_hi =
-            _mm512_cmp_epu32_mask(c, hi_v, _MM_CMPINT_NLE);
-        const __mmask16 ge_lo =
-            _mm512_cmp_epu32_mask(c, lo_v, _MM_CMPINT_NLT);
-        ge |= static_cast<uint64_t>(gt_hi) << i;
-        band |= static_cast<uint64_t>(ge_lo & ~gt_hi) << i;
-    }
-    for (; i < n; ++i) {
-        ge |= static_cast<uint64_t>(buckets[i] > hi_b) << i;
-        band |= static_cast<uint64_t>(buckets[i] >= lo_b &&
-                                      buckets[i] <= hi_b)
-                << i;
-    }
-    *in_band = band;
-    return ge;
-}
-
-__attribute__((target("avx512f,avx512dq"))) uint64_t
 cellLsbMaskAvx512(uint64_t base, uint64_t cell0, uint64_t channel,
                   unsigned n)
 {
@@ -230,21 +183,6 @@ cellHashBatchAccelerated()
 }
 
 void
-cellBitsBatch(const CellRng &rng, uint64_t cell0, uint64_t channel,
-              unsigned n, uint64_t *out)
-{
-    telemetry::noteHashBatch(n);
-#if VOLTBOOT_X86_WIDE_LANES
-    if (wideLanesSupported()) {
-        cellBitsAvx512(rng.hashBase(), cell0, channel, n, out);
-        return;
-    }
-#endif
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = rng.bits(cell0 + i, channel);
-}
-
-void
 cellBitsBatchIndexed(const CellRng &rng, const uint64_t *keys,
                      uint64_t channel, unsigned n, uint64_t *out)
 {
@@ -275,44 +213,6 @@ cellBandMaskBatch(const CellRng &rng, uint64_t cell0, uint64_t channel,
         const uint64_t raw = rng.rawUniform(cell0 + i, channel);
         ge |= static_cast<uint64_t>(raw >= band_lo) << i;
         band |= static_cast<uint64_t>(raw >= band_lo && raw < band_hi)
-                << i;
-    }
-    *in_band = band;
-    return ge;
-}
-
-uint64_t
-rawBucketBandMask(const uint32_t *buckets, unsigned n, uint64_t band_lo,
-                  uint64_t band_hi, uint64_t *in_band)
-{
-    telemetry::noteHashBatch(n);
-    // Bucket-domain edges. A lane is provably >= band_lo iff its
-    // bucket strictly exceeds hi_b (then raw >= (hi_b+1)<<21 > hi >=
-    // lo); provably below iff its bucket is under lo_b; everything in
-    // [lo_b, hi_b] is the caller's scalar-resolve set. band_hi can be
-    // the full 2^53 hash range, whose bucket (2^32) overflows a
-    // 32-bit lane — clamping it to 0xffffffff leaves "bucket > hi_b"
-    // correctly unsatisfiable. band_lo == 2^53 (degenerate empty
-    // band) would need the same care on the lower edge; settle it up
-    // front instead.
-    const uint64_t lo_b64 = band_lo >> 21;
-    const uint64_t hi_b64 = band_hi >> 21;
-    if (lo_b64 > 0xffffffffull) {
-        *in_band = 0;
-        return 0;
-    }
-    const uint32_t lo_b = static_cast<uint32_t>(lo_b64);
-    const uint32_t hi_b = static_cast<uint32_t>(
-        hi_b64 > 0xffffffffull ? 0xffffffffull : hi_b64);
-#if VOLTBOOT_X86_WIDE_LANES
-    if (wideLanesSupported())
-        return rawBucketBandMaskAvx512(buckets, n, lo_b, hi_b, in_band);
-#endif
-    uint64_t ge = 0, band = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        ge |= static_cast<uint64_t>(buckets[i] > hi_b) << i;
-        band |= static_cast<uint64_t>(buckets[i] >= lo_b &&
-                                      buckets[i] <= hi_b)
                 << i;
     }
     *in_band = band;

@@ -34,16 +34,10 @@ namespace voltboot
 {
 
 /**
- * Fill out[i] = rng.bits(cell0 + i, channel) for i in [0, n).
- * Bit-exact with per-cell CellRng::bits on every host.
- */
-void cellBitsBatch(const CellRng &rng, uint64_t cell0, uint64_t channel,
-                   unsigned n, uint64_t *out);
-
-/**
- * Gathered variant: out[i] = rng.bits(keys[i], channel) for arbitrary
- * (non-consecutive) key values — used for metastable re-roll draws,
- * whose per-cell key is hashCombine(cell, nonce).
+ * out[i] = rng.bits(keys[i], channel) for arbitrary (non-consecutive)
+ * key values, bit-exact with per-cell CellRng::bits on every host —
+ * used for metastable re-roll draws, whose per-cell key is
+ * hashCombine(cell, nonce).
  */
 void cellBitsBatchIndexed(const CellRng &rng, const uint64_t *keys,
                           uint64_t channel, unsigned n, uint64_t *out);
@@ -58,23 +52,6 @@ void cellBitsBatchIndexed(const CellRng &rng, const uint64_t *keys,
  */
 uint64_t cellBandMaskBatch(const CellRng &rng, uint64_t cell0,
                            uint64_t channel, unsigned n,
-                           uint64_t band_lo, uint64_t band_hi,
-                           uint64_t *in_band);
-
-/**
- * Same classification over a precomputed *bucket* plane (the
- * FastCached per-array caches): buckets[i] holds the top 32 bits of
- * the cell's 53-bit raw uniform (raw >> 21), halving the memory
- * stream the compare has to pull — which is what bounds throughput at
- * DRAM-scale planes. Truncation only coarsens the guard band: lanes
- * whose bucket falls in [band_lo >> 21, band_hi >> 21] land in
- * *in_band (a superset of the exact [band_lo, band_hi) membership,
- * wider by at most one bucket = 2^21 raws per edge) and must be
- * resolved by the caller's exact scalar predicate; the returned mask
- * sets exactly the other lanes whose raw is provably >= band_lo.
- * Bits at or above n are zero in both masks.
- */
-uint64_t rawBucketBandMask(const uint32_t *buckets, unsigned n,
                            uint64_t band_lo, uint64_t band_hi,
                            uint64_t *in_band);
 

@@ -16,14 +16,6 @@ namespace voltboot
 namespace
 {
 
-/** Above this many cells the FastCached bucket planes (4 bytes per
- * cell per channel) are not worth their memory; hash on the fly
- * instead. Half-width bucket entries let the cap sit one doubling
- * higher than the original 8-byte raw planes at the same byte
- * budget, so every real SRAM in the modeled SoCs — and 4 MiB bench
- * planes — stays on the cached path; only DRAM-scale arrays hash. */
-constexpr uint64_t kPlaneCacheMaxBits = uint64_t{1} << 25;
-
 /** Valid-lane mask for a word covering @p n <= 64 cells. */
 inline uint64_t
 laneMask(unsigned n)
@@ -428,34 +420,6 @@ MemoryArray::fastKernelEnabled() const
            retentionKernel() != RetentionKernel::Reference;
 }
 
-const uint32_t *
-MemoryArray::cachedPlane(uint64_t channel) const
-{
-    if (retentionKernel() != RetentionKernel::FastCached)
-        return nullptr;
-    if (sizeBits() > kPlaneCacheMaxBits)
-        return nullptr;
-    auto &plane = channel == RetentionModel::ChannelDrv
-                      ? drv_raw_plane_
-                      : retention_raw_plane_;
-    if (plane.empty()) {
-        const CellRng &rng = model_.rng();
-        const uint64_t nbits = sizeBits();
-        plane.resize(nbits);
-        uint64_t hashes[64];
-        for (uint64_t cell0 = 0; cell0 < nbits; cell0 += 64) {
-            const unsigned n = static_cast<unsigned>(
-                std::min<uint64_t>(64, nbits - cell0));
-            cellBitsBatch(rng, cell0, channel, n, hashes);
-            // Bucket = top 32 of the 53-bit raw = hash >> (11 + 21).
-            for (unsigned b = 0; b < n; ++b)
-                plane[cell0 + b] =
-                    static_cast<uint32_t>(hashes[b] >> 32);
-        }
-    }
-    return plane.data();
-}
-
 template <typename ScalarDiesFn>
 void
 MemoryArray::applyLossFast(uint64_t channel,
@@ -468,7 +432,6 @@ MemoryArray::applyLossFast(uint64_t channel,
     telemetry::add(telemetry::Counter::CellsProcessed, sizeBits());
     const uint64_t nonce = power_up_count_;
     const CellRng &rng = model_.rng();
-    const uint32_t *plane = cachedPlane(channel);
     const uint64_t nbits = sizeBits();
     uint64_t *words = bits_.words();
     uint64_t *loss_words = loss_.words();
@@ -487,11 +450,8 @@ MemoryArray::applyLossFast(uint64_t channel,
             // per transition is ~band_width / 2^53 * size_bits ~ 1e-3,
             // so the scalar fallback never shows up in profiles.
             uint64_t in_band;
-            const uint64_t ge =
-                plane ? rawBucketBandMask(plane + cell0, n, band.lo,
-                                          band.hi, &in_band)
-                      : cellBandMaskBatch(rng, cell0, channel, n,
-                                          band.lo, band.hi, &in_band);
+            const uint64_t ge = cellBandMaskBatch(
+                rng, cell0, channel, n, band.lo, band.hi, &in_band);
             uint64_t loss =
                 loss_at_or_above ? ge : (~ge & laneMask(n));
             for (uint64_t gb = in_band; gb; gb &= gb - 1) {

@@ -298,14 +298,6 @@ class MemoryArray
                    uint64_t nonce);
     /** Return every deferred-mask slot of @p page to the free list. */
     void dropLog(Page &page) const;
-    /** FastCached: lazily built plane of raw-uniform *buckets* (top 32
-     * bits of each cell's 53-bit raw hash — see rawBucketBandMask) for
-     * @p channel, or nullptr when caching is off or the array is too
-     * large. Half-width entries halve the stream the band compare
-     * pulls from memory, which is the binding resource at >= 1 MiB
-     * planes; the truncated low bits only ever widen the
-     * scalar-resolve guard band, never change a classification. */
-    const uint32_t *cachedPlane(uint64_t channel) const;
 
     std::string name_;
     /** Backing storage for the array's own word planes. */
@@ -335,9 +327,6 @@ class MemoryArray
     /** Die identity, the fingerprint-cache key. */
     uint64_t chip_seed_ = 0;
     uint64_t array_id_ = 0;
-    /** FastCached raw-uniform bucket planes (DRV / retention). */
-    mutable std::vector<uint32_t> drv_raw_plane_;
-    mutable std::vector<uint32_t> retention_raw_plane_;
     /** Signed imprint-years per cell; empty until age() is first used. */
     std::vector<float> imprint_;
     /** Resolve @p cell's power-up state including any imprint drift. */

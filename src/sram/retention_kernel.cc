@@ -1,7 +1,6 @@
 #include "sram/retention_kernel.hh"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace voltboot
 {
@@ -9,21 +8,10 @@ namespace voltboot
 namespace
 {
 
-/** Initial selection: VOLTBOOT_RETENTION_KERNEL if set and valid,
- * otherwise Fast. */
-RetentionKernel
-initialKernel()
-{
-    RetentionKernel k = RetentionKernel::Fast;
-    if (const char *env = std::getenv("VOLTBOOT_RETENTION_KERNEL"))
-        parseRetentionKernel(env, k);
-    return k;
-}
-
 std::atomic<RetentionKernel> &
 kernelSlot()
 {
-    static std::atomic<RetentionKernel> slot{initialKernel()};
+    static std::atomic<RetentionKernel> slot{RetentionKernel::Fast};
     return slot;
 }
 
@@ -41,28 +29,12 @@ setRetentionKernel(RetentionKernel kernel)
     kernelSlot().store(kernel, std::memory_order_relaxed);
 }
 
-bool
-parseRetentionKernel(std::string_view name, RetentionKernel &out)
-{
-    if (name == "fast")
-        out = RetentionKernel::Fast;
-    else if (name == "fast-cached")
-        out = RetentionKernel::FastCached;
-    else if (name == "reference")
-        out = RetentionKernel::Reference;
-    else
-        return false;
-    return true;
-}
-
 const char *
 toString(RetentionKernel kernel)
 {
     switch (kernel) {
       case RetentionKernel::Fast:
         return "fast";
-      case RetentionKernel::FastCached:
-        return "fast-cached";
       case RetentionKernel::Reference:
         return "reference";
     }

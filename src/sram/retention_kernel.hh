@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime selection of the per-cell retention kernel.
+ * Process-wide selection of the per-cell retention kernel.
  *
  * The retention hot path (power-up resolve, unpowered decay, voltage
  * droop) has two bit-identical implementations:
@@ -8,24 +8,19 @@
  *  - Fast: the threshold-transformed kernels — per-transition binary
  *    search finds the exact raw-hash cutoff once, then each cell is one
  *    integer compare and the results are applied 64 cells at a time
- *    with word-level bit ops (see docs/PERFORMANCE.md).
- *  - FastCached: Fast, plus a per-array cache of the raw 53-bit uniform
- *    planes for the DRV and retention channels, so repeated transitions
- *    on the same array skip even the per-cell hash chains.
+ *    with word-level bit ops (see docs/PERFORMANCE.md). The production
+ *    path.
  *  - Reference: the original scalar path — per-cell splitmix hash
  *    chains, Acklam's inverse normal CDF and an exp() per transition.
+ *    The test oracle, and the only path for aged arrays.
  *
  * The selection is process-global (campaign workers construct hermetic
- * per-trial SoCs, so a global is both safe and what the CLI wants) and
- * can be set three ways, in increasing priority: the built-in default
- * (Fast), the VOLTBOOT_RETENTION_KERNEL environment variable, and
- * setRetentionKernel() (driven by the CLI's --retention-path flag).
+ * per-trial SoCs) and defaults to Fast. Only tests and benches change
+ * it, through setRetentionKernel(); no user-facing option does.
  */
 
 #ifndef VOLTBOOT_SRAM_RETENTION_KERNEL_HH
 #define VOLTBOOT_SRAM_RETENTION_KERNEL_HH
-
-#include <string_view>
 
 namespace voltboot
 {
@@ -33,9 +28,8 @@ namespace voltboot
 /** Which implementation the retention hot path runs. */
 enum class RetentionKernel
 {
-    Fast,       ///< Threshold compares + word-masked application.
-    FastCached, ///< Fast + cached per-array raw parameter planes.
-    Reference,  ///< Original scalar per-cell transcendental path.
+    Fast,      ///< Threshold compares + word-masked application.
+    Reference, ///< Original scalar per-cell transcendental path.
 };
 
 /** Current process-wide kernel selection (thread-safe). */
@@ -44,13 +38,7 @@ RetentionKernel retentionKernel();
 /** Override the process-wide kernel selection (thread-safe). */
 void setRetentionKernel(RetentionKernel kernel);
 
-/**
- * Parse "fast", "fast-cached" or "reference" into @p out.
- * @return false (leaving @p out untouched) on any other spelling.
- */
-bool parseRetentionKernel(std::string_view name, RetentionKernel &out);
-
-/** Canonical spelling of @p kernel (the strings parse() accepts). */
+/** Lower-case name of @p kernel, for diagnostics. */
 const char *toString(RetentionKernel kernel);
 
 } // namespace voltboot

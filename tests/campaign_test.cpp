@@ -124,6 +124,11 @@ TEST(SweepGrid, ParseRejectsMalformedSpecs)
     EXPECT_THROW(SweepGrid::parse("attack=warmboot"), FatalError);
     EXPECT_THROW(SweepGrid::parse("temp"), FatalError);
     EXPECT_THROW(SweepGrid::parse("key=2"), FatalError);
+    // from_chars accepts these, but the sweep JSON cannot carry them.
+    EXPECT_THROW(
+        SweepGrid::parse("attack=voltage-coupling;temp=nan"), FatalError);
+    EXPECT_THROW(SweepGrid::parse("off-ms=inf"), FatalError);
+    EXPECT_THROW(SweepGrid::parse("glitch-depth=-inf"), FatalError);
 }
 
 TEST(SweepGrid, AxesHelpListsEveryAttackKind)

@@ -1096,6 +1096,11 @@ TEST(Cli, ReportUsageErrorsExitTwo)
                   .exit_code,
               2);
     EXPECT_EQ(runCli("report trace f.jsonl --bogus", dir).exit_code, 2);
+    // The retention kernel is not user-selectable.
+    EXPECT_EQ(runCli("sweep --retention-path fast", dir).exit_code, 2);
+    EXPECT_EQ(runCli("attack --retention-path reference", dir).exit_code,
+              2);
+    EXPECT_EQ(runCli("attack --temp nan", dir).exit_code, 2);
     // A readable usage hint lands on stderr.
     EXPECT_NE(runCli("report", dir).err.find("usage:"),
               std::string::npos);

@@ -44,25 +44,6 @@ struct KernelGuard
     RetentionKernel saved;
 };
 
-constexpr RetentionKernel kAllKernels[] = {
-    RetentionKernel::Fast,
-    RetentionKernel::FastCached,
-    RetentionKernel::Reference,
-};
-
-TEST(RetentionKernelSelection, ParseAndFormatRoundTrip)
-{
-    for (RetentionKernel k : kAllKernels) {
-        RetentionKernel parsed = RetentionKernel::Fast;
-        EXPECT_TRUE(parseRetentionKernel(toString(k), parsed));
-        EXPECT_EQ(parsed, k);
-    }
-    RetentionKernel out = RetentionKernel::Reference;
-    EXPECT_FALSE(parseRetentionKernel("slow", out));
-    EXPECT_FALSE(parseRetentionKernel("", out));
-    EXPECT_EQ(out, RetentionKernel::Reference); // untouched on failure
-}
-
 // --- Threshold exactness against the scalar predicates ---
 
 TEST(ThresholdTransform, DecayBandClassifiesExactlyOutsideGuard)
@@ -375,22 +356,16 @@ expectScenarioMatchesReference(const RetentionConfig &config,
     for (uint64_t seed : {1ull, 2ull, 0x5eedull}) {
         KernelGuard ref(RetentionKernel::Reference);
         const auto expected = arrayScenario(seed, config);
-        for (RetentionKernel k :
-             {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-            KernelGuard guard(k);
-            const auto got = arrayScenario(seed, config);
-            ASSERT_EQ(got.size(), expected.size());
-            for (size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].cells_lost, expected[i].cells_lost)
-                    << config_name << " " << toString(k)
-                    << " lastCellsLost, step " << i;
-                ASSERT_EQ(got[i].loss_mask, expected[i].loss_mask)
-                    << config_name << " " << toString(k)
-                    << " loss mask, step " << i;
-                ASSERT_EQ(got[i].snapshot, expected[i].snapshot)
-                    << config_name << " " << toString(k)
-                    << " snapshot bytes, step " << i;
-            }
+        KernelGuard fast(RetentionKernel::Fast);
+        const auto got = arrayScenario(seed, config);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].cells_lost, expected[i].cells_lost)
+                << config_name << " lastCellsLost, step " << i;
+            ASSERT_EQ(got[i].loss_mask, expected[i].loss_mask)
+                << config_name << " loss mask, step " << i;
+            ASSERT_EQ(got[i].snapshot, expected[i].snapshot)
+                << config_name << " snapshot bytes, step " << i;
         }
     }
 }
@@ -429,14 +404,9 @@ TEST(GoldenEquivalence, AgedArraysForceTheReferencePathAndStillMatch)
         return std::make_pair(decay, droop);
     };
     const auto expected = agedScenario(RetentionKernel::Reference);
-    for (RetentionKernel k :
-         {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-        const auto got = agedScenario(k);
-        ASSERT_EQ(got.first, expected.first)
-            << toString(k) << " aged decay step diverges";
-        ASSERT_EQ(got.second, expected.second)
-            << toString(k) << " aged droop step diverges";
-    }
+    const auto got = agedScenario(RetentionKernel::Fast);
+    ASSERT_EQ(got.first, expected.first) << "aged decay step diverges";
+    ASSERT_EQ(got.second, expected.second) << "aged droop step diverges";
 }
 
 // --- Lazy page materialization against the Reference kernel ---
@@ -679,17 +649,13 @@ expectLazyMatchesReference(const RetentionConfig &config,
                 KernelGuard ref(RetentionKernel::Reference);
                 expected = lazyLife(config, bytes, seed);
             }
-            for (RetentionKernel k :
-                 {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-                KernelGuard guard(k);
-                const auto got = lazyLife(config, bytes, seed);
-                ASSERT_EQ(got.size(), expected.size());
-                for (size_t i = 0; i < got.size(); ++i)
-                    ASSERT_EQ(got[i], expected[i])
-                        << config_name << " " << toString(k) << ", "
-                        << bytes << " bytes, seed " << seed
-                        << ", observation " << i;
-            }
+            KernelGuard fast(RetentionKernel::Fast);
+            const auto got = lazyLife(config, bytes, seed);
+            ASSERT_EQ(got.size(), expected.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(got[i], expected[i])
+                    << config_name << ", " << bytes << " bytes, seed "
+                    << seed << ", observation " << i;
         }
     }
 }
@@ -789,15 +755,10 @@ TEST(GoldenEquivalence, AttackAndColdBootDumpsAreByteIdentical)
 {
     KernelGuard ref(RetentionKernel::Reference);
     const auto expected = attackScenario();
-    for (RetentionKernel k :
-         {RetentionKernel::Fast, RetentionKernel::FastCached}) {
-        KernelGuard guard(k);
-        const auto got = attackScenario();
-        ASSERT_EQ(got.first, expected.first)
-            << toString(k) << " voltboot dump differs";
-        ASSERT_EQ(got.second, expected.second)
-            << toString(k) << " coldboot dump differs";
-    }
+    KernelGuard fast(RetentionKernel::Fast);
+    const auto got = attackScenario();
+    ASSERT_EQ(got.first, expected.first) << "voltboot dump differs";
+    ASSERT_EQ(got.second, expected.second) << "coldboot dump differs";
 }
 
 std::string
@@ -825,7 +786,8 @@ TEST(GoldenEquivalence, CampaignJsonCsvAndTracesAreByteIdentical)
 
     std::string ref_json, ref_csv;
     std::vector<std::string> ref_traces;
-    for (RetentionKernel k : kAllKernels) {
+    for (RetentionKernel k :
+         {RetentionKernel::Fast, RetentionKernel::Reference}) {
         KernelGuard guard(k);
         CampaignConfig cfg;
         cfg.jobs = 2;

@@ -441,56 +441,6 @@ TEST(CellHashBatch, BandMaskMatchesScalarCompares)
     EXPECT_NE(saw_in_band, 0u); // the wide band really exercised it
 }
 
-TEST(CellHashBatch, RawBucketBandMaskMatchesScalarCompares)
-{
-    uint64_t raw[64];
-    uint32_t bucket[64];
-    const CellRng rng(0x77, 1);
-    for (unsigned i = 0; i < 64; ++i) {
-        raw[i] = rng.rawUniform(i, 3);
-        bucket[i] = static_cast<uint32_t>(raw[i] >> 21);
-    }
-    const uint64_t lo = CellRng::kRawUniformBuckets / 3;
-    const uint64_t hi = 2 * (CellRng::kRawUniformBuckets / 3);
-    for (unsigned n : {1u, 8u, 15u, 17u, 64u}) {
-        uint64_t in_band = ~uint64_t{0};
-        const uint64_t ge = rawBucketBandMask(bucket, n, lo, hi, &in_band);
-        for (unsigned b = 0; b < n; ++b) {
-            const bool resolve = (in_band >> b) & 1;
-            if (resolve) {
-                // The scalar-resolve set may over-approximate [lo, hi)
-                // by at most one 2^21-raw bucket per edge.
-                ASSERT_GE(raw[b] + (uint64_t{1} << 21), lo);
-                ASSERT_LT(raw[b], hi + (uint64_t{1} << 21));
-            } else {
-                // Outside it, the classification is exact.
-                ASSERT_EQ((ge >> b) & 1, raw[b] >= lo ? 1u : 0u);
-            }
-            // Every true in-band raw must be in the resolve set.
-            if (raw[b] >= lo && raw[b] < hi)
-                ASSERT_TRUE(resolve);
-        }
-        if (n < 64) {
-            EXPECT_EQ(ge >> n, 0u);
-            EXPECT_EQ(in_band >> n, 0u);
-        }
-    }
-    // A band at the top of the hash range: hi's bucket (2^32)
-    // overflows a 32-bit lane; nothing may classify as >= hi.
-    uint64_t in_band = ~uint64_t{0};
-    const uint64_t ge = rawBucketBandMask(
-        bucket, 64, CellRng::kRawUniformBuckets - (uint64_t{1} << 22),
-        CellRng::kRawUniformBuckets, &in_band);
-    EXPECT_EQ(ge, 0u);
-    // And a degenerate band above every representable raw: no lane
-    // dies, no lane needs resolving.
-    const uint64_t ge2 = rawBucketBandMask(
-        bucket, 64, CellRng::kRawUniformBuckets,
-        CellRng::kRawUniformBuckets, &in_band);
-    EXPECT_EQ(ge2, 0u);
-    EXPECT_EQ(in_band, 0u);
-}
-
 TEST(CellHashBatch, LsbMaskMatchesScalarBits)
 {
     const CellRng rng(0x5eed, 8);

@@ -20,9 +20,6 @@
  *   --off-ms <ms>             power-off interval     (default 500)
  *   --current <amps>          probe current limit    (default 3.0)
  *   --pad <label>             probe somewhere else (wrong-domain demo)
- *   --retention-path fast|fast-cached|reference
- *                             retention kernel (default fast; all three
- *                             are bit-exact, see docs/PERFORMANCE.md)
  *   --trace FILE              write a JSONL event trace
  *   --trace-chrome FILE       write a chrome://tracing / Perfetto trace
  *   --metrics FILE            write the wall-clock metrics snapshot
@@ -45,7 +42,6 @@
  *   --heartbeat FILE          append one telemetry JSONL line per
  *                             sampling interval (crash-tolerant)
  *   --telemetry-interval S    sampler cadence (default 1 s)
- *   --retention-path PATH     retention kernel, as for attack/coldboot
  *
  * Trace files are deterministic (simulation-time stamps only); metrics
  * files carry wall-clock timings and are not. See docs/TRACING.md.
@@ -56,6 +52,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -88,7 +85,6 @@
 #include "os/workloads.hh"
 #include "sim/logging.hh"
 #include "soc/soc.hh"
-#include "sram/retention_kernel.hh"
 
 using namespace voltboot;
 
@@ -117,7 +113,8 @@ parseDouble(const std::string &flag, const std::string &text)
     double value = 0.0;
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size())
+    if (ec != std::errc() || ptr != text.data() + text.size() ||
+        !std::isfinite(value))
         usageFatal("malformed numeric value '", text, "' for ", flag);
     return value;
 }
@@ -139,18 +136,6 @@ parseUint(const std::string &flag, const std::string &text)
     if (ec != std::errc() || ptr != end || begin == end)
         usageFatal("malformed numeric value '", text, "' for ", flag);
     return value;
-}
-
-/** Select the process-wide retention kernel from a --retention-path
- * value; rejects anything but fast|fast-cached|reference. */
-void
-selectRetentionPath(const std::string &text)
-{
-    RetentionKernel kernel;
-    if (!parseRetentionKernel(text, kernel))
-        usageFatal("unknown retention path '", text,
-                   "' (expected fast, fast-cached or reference)");
-    setRetentionKernel(kernel);
 }
 
 /**
@@ -212,8 +197,6 @@ parse(int argc, char **argv, int first)
             o.current = parseDouble(flag, value());
         else if (flag == "--pad")
             o.pad = value();
-        else if (flag == "--retention-path")
-            selectRetentionPath(value());
         else if (flag == "--trace")
             o.trace = value();
         else if (flag == "--trace-chrome")
@@ -447,8 +430,6 @@ parseSweep(int argc, char **argv, int first)
             o.jobs = static_cast<unsigned>(parseUint(flag, value()));
         else if (flag == "--seed")
             o.seed = parseUint(flag, value());
-        else if (flag == "--retention-path")
-            selectRetentionPath(value());
         else if (flag == "--out")
             o.out_json = value();
         else if (flag == "--csv")
@@ -877,7 +858,6 @@ usage(std::ostream &out)
            "LABEL]\n"
            "           [--trace FILE.jsonl] [--trace-chrome FILE.json] "
            "[--metrics FILE]\n"
-           "           [--retention-path fast|fast-cached|reference]\n"
            "  coldboot --board ... --temp C --off-ms MS [--trace ...]\n"
            "  survey   [--board ...]\n"
            "  retention [--target sram|dram]\n"
@@ -889,7 +869,6 @@ usage(std::ostream &out)
            "[--list-axes]\n"
            "           [--metrics-port N] [--heartbeat FILE.jsonl]\n"
            "           [--telemetry-interval SECONDS]\n"
-           "           [--retention-path fast|fast-cached|reference]\n"
            "           --metrics-port serves live /metrics /healthz "
            "/progress\n"
            "           over HTTP while the sweep runs (0 = ephemeral "
