@@ -88,11 +88,9 @@ main()
 
     std::cout << "\n(a) current-limit sweep at 50 mOhm source "
                  "impedance (campaign, 2 chips/point):\n";
-    SweepGrid grid_a;
-    grid_a.boards = {"pi4"};
-    grid_a.attacks = {AttackKind::VoltBoot};
-    grid_a.currents_a = amps;
-    grid_a.seed_count = 2;
+    const SweepGrid grid_a = SweepGrid::parse(
+        "board=pi4;attack=voltboot;current=" + bench::specList(amps) +
+        ";seeds=2");
     CampaignConfig cfg_a;
     cfg_a.seed = 0xa1a;
     const CampaignResult res_a = Campaign(grid_a, cfg_a).run();
@@ -116,11 +114,9 @@ main()
 
     std::cout << "\n(b) source-impedance sweep at 3 A limit (campaign, "
                  "2 chips/point, stock 220 uF decap):\n";
-    SweepGrid grid_b;
-    grid_b.boards = {"pi4"};
-    grid_b.attacks = {AttackKind::VoltBoot};
-    grid_b.impedances_mohm = mohms;
-    grid_b.seed_count = 2;
+    const SweepGrid grid_b = SweepGrid::parse(
+        "board=pi4;attack=voltboot;impedance-mohm=" +
+        bench::specList(mohms) + ";seeds=2");
     CampaignConfig cfg_b;
     cfg_b.seed = 0xa1b;
     const CampaignResult res_b = Campaign(grid_b, cfg_b).run();

@@ -38,13 +38,11 @@ const std::vector<double> kOffsMs{0.5, 2, 20, 200};
 void
 printMeasuredSramSurface()
 {
-    SweepGrid grid;
-    grid.boards = {"pi4"};
-    grid.targets = {TargetRam::DCache};
-    grid.attacks = {AttackKind::ColdBoot};
-    grid.temps_c = kTemps;
-    grid.offs_ms = kOffsMs;
-    grid.seed_count = 2;
+    const uint64_t chips = 2;
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi4;target=dcache;attack=coldboot;temp=" +
+        bench::specList(kTemps) + ";off-ms=" + bench::specList(kOffsMs) +
+        ";seeds=" + std::to_string(chips));
 
     CampaignConfig cfg;
     cfg.seed = 0xa2;
@@ -58,7 +56,7 @@ printMeasuredSramSurface()
             cells[{r.spec.off_ms, r.spec.temp_c}].add(r.accuracy);
 
     std::cout << "\n6T SRAM measured retention accuracy (" << grid.size()
-              << " cold-boot trials, " << grid.seed_count
+              << " cold-boot trials, " << chips
               << " chips; 50% = chance):\n";
     std::vector<std::string> header{"off \\ degC"};
     for (double t : kTemps)

@@ -8,11 +8,13 @@
 #ifndef VOLTBOOT_BENCH_BENCH_UTIL_HH
 #define VOLTBOOT_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sram/memory_image.hh"
 
@@ -20,6 +22,19 @@ namespace voltboot
 {
 namespace bench
 {
+
+/** @p values as a sweep-grid spec value list: "v1,v2,...". */
+inline std::string
+specList(const std::vector<double> &values)
+{
+    std::string out;
+    for (const double v : values) {
+        char buf[32];
+        char *end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+        out += (out.empty() ? "" : ",") + std::string(buf, end);
+    }
+    return out;
+}
 
 /** Print the experiment banner: which artefact this regenerates. */
 inline void

@@ -100,15 +100,12 @@ main(int argc, char **argv)
 
     bench::banner("P2", "campaign engine throughput (1/4/N threads)");
 
-    SweepGrid grid;
-    grid.boards = {"pi4"};
-    grid.targets = {TargetRam::DCache};
-    grid.attacks = {AttackKind::VoltBoot, AttackKind::ColdBoot};
-    grid.temps_c = {25.0};
-    grid.offs_ms = {5.0};
-    grid.seed_count = 6; // 12 trials: enough to keep every worker busy
-    if (trials > 0)
-        grid.seed_count = std::max<uint64_t>(1, (trials + 1) / 2);
+    // 12 trials by default: enough to keep every worker busy.
+    const uint64_t seeds =
+        trials > 0 ? std::max<uint64_t>(1, (trials + 1) / 2) : 6;
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi4;target=dcache;attack=voltboot,coldboot;temp=25;"
+        "off-ms=5;seeds=" + std::to_string(seeds));
 
     const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());

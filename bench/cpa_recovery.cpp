@@ -105,10 +105,9 @@ main(int argc, char **argv)
     // the next block); the finite windows shrink the usable slot count
     // towards the single-sample floor. The acceptance bar below only
     // binds the nominal cell.
-    SweepGrid grid;
-    grid.attacks = {AttackKind::VoltageCoupling};
-    grid.cpa_windows_ns = {0.0, 2.0, 8.0};
-    grid.seed_count = seeds;
+    const SweepGrid grid = SweepGrid::parse(
+        "attack=voltage-coupling;cpa-window-ns=0,2,8;seeds=" +
+        std::to_string(seeds));
 
     CampaignResult result;
     std::string baseline_json;

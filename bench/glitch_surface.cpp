@@ -104,12 +104,9 @@ main(int argc, char **argv)
     // boundary sits at ~110 ns at the 1 ns default clock); 0.04 V of
     // depth stays inside the 10% timing margin of the 0.8 V core rail
     // and can never fault, the deep cells crowbar well below it.
-    SweepGrid grid;
-    grid.attacks = {AttackKind::Glitch};
-    grid.glitch_offs_ns = {60.0, 105.0, 107.0, 109.0, 111.0};
-    grid.glitch_widths_ns = {2.0};
-    grid.glitch_depths_v = {0.04, 0.3, 0.5};
-    grid.seed_count = seeds;
+    const SweepGrid grid = SweepGrid::parse(
+        "attack=glitch;glitch-off-ns=60,105,107,109,111;glitch-width-ns=2;"
+        "glitch-depth=0.04,0.3,0.5;seeds=" + std::to_string(seeds));
 
     CampaignResult result;
     std::string baseline_json;

@@ -2,34 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "report/report.hh"
 #include "telemetry/counters.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace voltboot
 {
-
-namespace
-{
-
-/** `<trace_dir>/trial_NNNNNN.jsonl` for trial @p index. */
-std::string
-tracePath(const std::string &dir, uint64_t index)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "trial_%06llu.jsonl",
-                  static_cast<unsigned long long>(index));
-    return (std::filesystem::path(dir) / name).string();
-}
-
-} // namespace
 
 Campaign::Campaign(SweepGrid grid, CampaignConfig config)
     : grid_(std::move(grid)), config_(std::move(config))
@@ -156,7 +141,7 @@ Campaign::run()
                                     rec.duration_s);
                     if (tracing)
                         CampaignResult::writeFile(
-                            tracePath(config_.trace_dir, i),
+                            report::trialTracePath(config_.trace_dir, i),
                             trace::toJsonl(sink.events()));
                     if (config_.trial_timeout.seconds() > 0.0 &&
                         rec.duration_s >

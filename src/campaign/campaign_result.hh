@@ -2,12 +2,12 @@
  * @file
  * Structured campaign results.
  *
- * Every trial produces one TrialRecord — parameters echoed back, a
- * status, and the extraction metrics the paper reports (retention
- * accuracy / bit-error rate, key-recovery outcome). A CampaignResult is
- * the ordered vector of records (indexed by trial index, so the layout
- * is schedule-independent) plus merged summaries, and renders to JSON
- * and CSV.
+ * Every trial produces one TrialRecord (campaign/schema.hh) — parameters
+ * echoed back, a status, and the extraction metrics the paper reports
+ * (retention accuracy / bit-error rate, key-recovery outcome). A
+ * CampaignResult is the ordered vector of records (indexed by trial
+ * index, so the layout is schedule-independent) plus merged summaries,
+ * and renders to JSON and CSV, one kRecordFields field per key/column.
  *
  * The canonical JSON/CSV output is bit-identical for a given
  * (grid, campaign seed) regardless of worker count: wall-clock
@@ -29,17 +29,6 @@
 namespace voltboot
 {
 
-/** How one trial ended. */
-enum class TrialStatus
-{
-    Ok,           ///< Extraction ran; metrics are valid.
-    AttackFailed, ///< The attack itself failed (probe/boot); no dump.
-    Error,        ///< The trial threw; detail carries the message.
-    Skipped,      ///< Campaign aborted before this trial started.
-};
-
-const char *toString(TrialStatus status);
-
 /** Quote @p field per RFC 4180 when it contains a comma, quote, or
  * newline (embedded quotes doubled); otherwise returned unchanged. */
 std::string csvEscape(const std::string &field);
@@ -47,64 +36,6 @@ std::string csvEscape(const std::string &field);
 /** Split one CSV row (without its trailing newline) into unescaped
  * fields — the inverse of the quoting csvEscape() applies. */
 std::vector<std::string> splitCsvRow(const std::string &line);
-
-/** Outcome and metrics of a single trial. */
-struct TrialRecord
-{
-    TrialSpec spec;
-    TrialStatus status = TrialStatus::Skipped;
-    std::string detail;     ///< Failure reason / exception text.
-    uint64_t chip_seed = 0; ///< The derived silicon seed actually used.
-
-    bool probe_attached = false;
-    bool booted = false;
-
-    uint64_t dump_bytes = 0;
-    /** Fraction of dump bits matching ground truth (1.0 = perfect,
-     * ~0.5 = nothing retained). Valid only when status == Ok. */
-    double accuracy = 0.0;
-    double bit_error_rate = 0.0;
-
-    bool key_planted = false;
-    bool key_found = false;
-    bool key_exact = false;
-
-    /** Glitch trials: number of faults the pulse injected. */
-    uint64_t glitch_faults = 0;
-    /** Glitch trials: comma-joined effect names, in boundary order
-     * (e.g. "skip,opcode_corrupt" — note the embedded commas). */
-    std::string glitch_effect;
-    /** Glitch trials: the signature check passed without a valid tag. */
-    bool glitch_bypassed = false;
-
-    /** StaticExtract trials: the clock froze below brown-out. */
-    bool se_frozen = false;
-    /** StaticExtract trials: the victim finished its zeroize wipe. */
-    bool se_zeroized = false;
-    /** StaticExtract trials: fraction of the dump the slow readout
-     * path observed inside the hold window. */
-    double se_read_fraction = 0.0;
-    /** VoltageCoupling trials: key bytes whose winning CPA guess
-     * cleared the confidence threshold. */
-    uint64_t cpa_recovered = 0;
-
-    /** KeyRecovery trials: keyfind engine outcome (deterministic). */
-    uint64_t kr_scan_hits = 0;      ///< Exact-scan schedule hits.
-    uint64_t kr_corrected_hits = 0; ///< Correction-scan hits.
-    /** Residual schedule bit errors of the best hit (0 when none). */
-    uint64_t kr_bit_errors = 0;
-    /** Key bits the corrector flipped for the best corrected hit. */
-    uint64_t kr_key_bits_flipped = 0;
-    /** Local-search iterations the correction stage spent in total. */
-    uint64_t kr_correction_iterations = 0;
-    /** Bits that disagreed across the trial's fused dumps. */
-    uint64_t kr_disagreeing_bits = 0;
-
-    /** Wall-clock cost; timing only, never in canonical output. */
-    double duration_s = 0.0;
-    /** The trial overran CampaignConfig::trial_timeout (timing only). */
-    bool timed_out = false;
-};
 
 /** Merged per-campaign statistics. */
 struct CampaignSummary

@@ -128,20 +128,6 @@ stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
     return v;
 }
 
-MemoryImage
-dumpTarget(VoltBootAttack &attack, TargetRam target)
-{
-    switch (target) {
-      case TargetRam::DCache: return attack.dumpL1(0, L1Ram::DData);
-      case TargetRam::ICache: return attack.dumpL1(0, L1Ram::IData);
-      case TargetRam::Regs: return attack.dumpVectorRegisters(0);
-      case TargetRam::Iram: return attack.dumpIram();
-      case TargetRam::Tlb: return attack.dumpDtlb(0);
-      case TargetRam::Btb: return attack.dumpBtb(0);
-    }
-    panic("bad TargetRam");
-}
-
 void
 score(TrialRecord &rec, const MemoryImage &dump, const Victim &victim)
 {
@@ -161,6 +147,20 @@ score(TrialRecord &rec, const MemoryImage &dump, const Victim &victim)
 }
 
 } // namespace
+
+MemoryImage
+dumpTarget(VoltBootAttack &attack, TargetRam target)
+{
+    switch (target) {
+      case TargetRam::DCache: return attack.dumpL1(0, L1Ram::DData);
+      case TargetRam::ICache: return attack.dumpL1(0, L1Ram::IData);
+      case TargetRam::Regs: return attack.dumpVectorRegisters(0);
+      case TargetRam::Iram: return attack.dumpIram();
+      case TargetRam::Tlb: return attack.dumpDtlb(0);
+      case TargetRam::Btb: return attack.dumpBtb(0);
+    }
+    panic("bad TargetRam");
+}
 
 TrialRecord
 runTrial(const TrialSpec &spec, uint64_t campaign_seed)

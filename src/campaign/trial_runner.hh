@@ -26,9 +26,12 @@
 #include "campaign/campaign_result.hh"
 #include "campaign/sweep_grid.hh"
 #include "soc/soc_config.hh"
+#include "sram/memory_image.hh"
 
 namespace voltboot
 {
+
+class VoltBootAttack;
 
 /** Board name to platform config ("pi3"|"pi4"|"imx53"); fatal() else. */
 SocConfig socConfigFor(const std::string &board);
@@ -38,6 +41,9 @@ uint64_t deriveChipSeed(uint64_t campaign_seed, uint64_t seed_index);
 
 /** The per-trial random stream seed. */
 uint64_t deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index);
+
+/** Dump @p target through an attack that has booted attacker code. */
+MemoryImage dumpTarget(VoltBootAttack &attack, TargetRam target);
 
 /**
  * Run one trial to completion and score it. Throws (FatalError etc.) on

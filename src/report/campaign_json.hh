@@ -5,11 +5,13 @@
  * report generator.
  *
  * Loading a sweep back through this reader is the inverse of
- * `CampaignResult::toJson()` for everything the report needs: the
- * canonical record fields always, and the opt-in `timing` section
- * (wall clock, throughput, metrics snapshot) when the sweep was run
- * with `--timing`. Schema violations are reported as JsonParseError
- * with the offending value's line/column, same as the trace reader.
+ * `CampaignResult::toJson()`: every record field in kRecordFields
+ * always, and the opt-in `timing` section (wall clock, throughput,
+ * metrics snapshot) when the sweep was run with `--timing`. Schema
+ * violations — missing required keys, wrong kinds, unknown enum
+ * spellings, unsigned values that are fractional, negative or out of
+ * range — are reported as JsonParseError with the offending value's
+ * line/column, same as the trace reader.
  */
 
 #ifndef VOLTBOOT_REPORT_CAMPAIGN_JSON_HH
@@ -20,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "campaign/schema.hh"
 #include "trace/metrics.hh"
 
 namespace voltboot
@@ -27,69 +30,16 @@ namespace voltboot
 namespace report
 {
 
-/** One trial record, as re-read from campaign JSON. */
-struct SweepRecord
-{
-    uint64_t index = 0;
-    std::string board;
-    std::string target;
-    std::string attack;
-    double temp_c = 0.0;
-    double off_ms = 0.0;
-    double current_a = 0.0;
-    double impedance_mohm = 0.0;
-    uint64_t seed_index = 0;
-    uint64_t chip_seed = 0;
-    std::string status; ///< ok | attack_failed | error | skipped
-    std::string detail;
-    bool probe_attached = false;
-    bool booted = false;
-    uint64_t dump_bytes = 0;
-    double accuracy = 0.0;
-    double bit_error_rate = 0.0;
-    bool key_planted = false;
-    bool key_found = false;
-    bool key_exact = false;
-
-    /** Glitch axes and outcome; default-zero when reading sweeps
-     * written before the glitch attack existed. */
-    double glitch_off_ns = 0.0;
-    double glitch_width_ns = 0.0;
-    double glitch_depth_v = 0.0;
-    uint64_t glitch_faults = 0;
-    std::string glitch_effect;
-    bool glitch_bypassed = false;
-
-    /** Sidechannel axes and outcome; default-zero when reading sweeps
-     * written before the static-extract/coupling attacks existed. */
-    double undervolt_depth_v = 0.0;
-    double hold_ns = 0.0;
-    double readout_rate = 0.0;
-    double cpa_window_ns = 0.0;
-    bool se_frozen = false;
-    bool se_zeroized = false;
-    double se_read_fraction = 0.0;
-    uint64_t cpa_recovered = 0;
-
-    /** Key-recovery axes and outcome; defaults when reading sweeps
-     * written before the keyfind engine existed. */
-    uint64_t dump_count = 1;
-    bool use_priors = false;
-    uint64_t kr_scan_hits = 0;
-    uint64_t kr_corrected_hits = 0;
-    uint64_t kr_bit_errors = 0;
-    uint64_t kr_key_bits_flipped = 0;
-    uint64_t kr_correction_iterations = 0;
-    uint64_t kr_disagreeing_bits = 0;
-};
-
 /** A whole sweep document. */
 struct SweepDoc
 {
     std::string schema; ///< "voltboot-campaign-v1"
     uint64_t campaign_seed = 0;
     std::string grid;
-    std::vector<SweepRecord> records;
+    /** The records, filled through kRecordFields: fields a record
+     * lacks (sweeps written before they existed) keep their defaults;
+     * timing-only members and spec.plant_key stay default. */
+    std::vector<TrialRecord> records;
 
     /** Opt-in timing section (non-canonical); valid iff has_timing. */
     bool has_timing = false;

@@ -25,8 +25,7 @@ numberOr(const JsonValue *v, double fallback)
 uint64_t
 countOr(const JsonValue *v, uint64_t fallback)
 {
-    return v && v->isNumber() ? static_cast<uint64_t>(v->number)
-                              : fallback;
+    return v ? v->asUint64().value_or(fallback) : fallback;
 }
 
 /** Parse one heartbeat line; false when it is not a heartbeat. */
@@ -64,9 +63,8 @@ parseHeartbeatLine(const std::string &line, const std::string &source,
     }
     if (const JsonValue *c = v.find("counters"); c && c->isObject())
         for (const auto &[name, value] : c->members)
-            if (value.isNumber())
-                hb.counters[name] =
-                    static_cast<uint64_t>(value.number);
+            if (const auto count = value.asUint64())
+                hb.counters[name] = *count;
     if (const JsonValue *w = v.find("wall"); w && w->isObject()) {
         hb.unix_ms = countOr(w->find("unix_ms"), 0);
         hb.elapsed_s = numberOr(w->find("elapsed_s"), 0.0);

@@ -24,6 +24,19 @@ JsonValue::find(std::string_view key) const
     return nullptr;
 }
 
+std::optional<uint64_t>
+JsonValue::asUint64() const
+{
+    if (kind != Kind::Number)
+        return std::nullopt;
+    uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
 const char *
 JsonValue::kindName(Kind kind)
 {
@@ -126,8 +139,14 @@ class Parser
             fail("unexpected end of input, expected a JSON value");
         const char c = text_[pos_];
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{': case '[': {
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return parseString();
           case 't': case 'f': return parseBool();
           case 'n': return parseNull();
@@ -371,6 +390,7 @@ class Parser
     size_t pos_ = 0;
     size_t line_;
     size_t column_ = 1;
+    size_t depth_ = 0;
 };
 
 } // namespace

@@ -26,6 +26,8 @@
 #define VOLTBOOT_REPORT_JSON_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -90,9 +92,20 @@ struct JsonValue
     /** Object member lookup; nullptr when absent (or not an object). */
     const JsonValue *find(std::string_view key) const;
 
+    /** A Number's value as an unsigned integer, read losslessly from
+     * its source text; nullopt for non-numbers, fractions, exponents,
+     * negatives and values above UINT64_MAX. */
+    std::optional<uint64_t> asUint64() const;
+
     /** Human name of @p kind for diagnostics ("object", "number", ...). */
     static const char *kindName(Kind kind);
 };
+
+/** Deepest array/object nesting parseJson() accepts. The documents
+ * this repository writes nest at most seven deep (sweep results five,
+ * BENCH_plane.json seven); the limit keeps a hostile file from
+ * exhausting the parser's stack. */
+inline constexpr size_t kMaxJsonDepth = 64;
 
 /**
  * Parse @p text as exactly one JSON document (leading/trailing
@@ -102,7 +115,8 @@ struct JsonValue
  * @param first_line  Line number of @p text's first line, so callers
  *                    slicing one line out of a JSONL file report real
  *                    file positions.
- * @throws JsonParseError on any deviation from the JSON grammar.
+ * @throws JsonParseError on any deviation from the JSON grammar, and
+ *         on nesting deeper than kMaxJsonDepth.
  */
 JsonValue parseJson(std::string_view text,
                     const std::string &source = "<string>",

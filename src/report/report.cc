@@ -44,10 +44,10 @@ struct Bucket
     double ber_sum = 0.0;
 
     void
-    add(const SweepRecord &r)
+    add(const TrialRecord &r)
     {
         ++trials;
-        if (r.status == "ok") {
+        if (r.status == TrialStatus::Ok) {
             ++ok;
             accuracy_sum += r.accuracy;
             ber_sum += r.bit_error_rate;
@@ -175,17 +175,10 @@ buildCampaignReport(const SweepDoc &sweep,
     std::string &md = report.markdown;
 
     // --- Overview -------------------------------------------------
-    uint64_t ok = 0, attack_failed = 0, errors = 0, skipped = 0;
+    uint64_t by_status[std::size(kStatusNames)] = {};
     uint64_t booted = 0, keys_exact = 0;
-    for (const SweepRecord &r : sweep.records) {
-        if (r.status == "ok")
-            ++ok;
-        else if (r.status == "attack_failed")
-            ++attack_failed;
-        else if (r.status == "error")
-            ++errors;
-        else if (r.status == "skipped")
-            ++skipped;
+    for (const TrialRecord &r : sweep.records) {
+        ++by_status[static_cast<size_t>(r.status)];
         booted += r.booted;
         keys_exact += r.key_exact;
     }
@@ -199,39 +192,32 @@ buildCampaignReport(const SweepDoc &sweep,
     md += "## Outcome summary\n\n";
     md += "| status | trials | share |\n|---|---:|---:|\n";
     const uint64_t total = sweep.records.size();
-    md += "| ok | " + std::to_string(ok) + " | " + pct(ok, total) +
-          " |\n";
-    md += "| attack_failed | " + std::to_string(attack_failed) + " | " +
-          pct(attack_failed, total) + " |\n";
-    md += "| error | " + std::to_string(errors) + " | " +
-          pct(errors, total) + " |\n";
-    md += "| skipped | " + std::to_string(skipped) + " | " +
-          pct(skipped, total) + " |\n\n";
+    for (const EnumName<TrialStatus> &status : kStatusNames) {
+        const uint64_t n = by_status[static_cast<size_t>(status.kind)];
+        md += std::string("| ") + status.name + " | " +
+              std::to_string(n) + " | " + pct(n, total) + " |\n";
+    }
+    md += "\n";
     md += "Booted " + std::to_string(booted) + "/" +
           std::to_string(total) + " trials; " +
           std::to_string(keys_exact) + " exact key recoveries.\n\n";
 
     // --- Per-board / per-target breakdowns ------------------------
-    std::map<std::string, Bucket> by_board, by_target, by_attack;
-    for (const SweepRecord &r : sweep.records) {
-        by_board[r.board].add(r);
-        by_target[r.target].add(r);
-        by_attack[r.attack].add(r);
+    // The board, target and attack axes lead the axis table.
+    for (const GridAxis &axis : std::span(kGridAxes).first(3)) {
+        std::map<std::string, Bucket> buckets;
+        for (const TrialRecord &r : sweep.records)
+            buckets[plainText(readMember(axis.member, r.spec))].add(r);
+        md += std::string("## Per-") + axis.key + " results\n\n" +
+              renderBucketTable(axis.key, buckets) + "\n";
     }
-    md += "## Per-board results\n\n";
-    md += renderBucketTable("board", by_board);
-    md += "\n## Per-target results\n\n";
-    md += renderBucketTable("target", by_target);
-    md += "\n## Per-attack results\n\n";
-    md += renderBucketTable("attack", by_attack);
-    md += "\n";
 
     // --- Retention vs off time (the paper's core plot) ------------
     // Keyed by the raw off_ms double: distinct grid points stay
     // distinct and sort numerically.
     std::map<double, Bucket> by_off;
-    for (const SweepRecord &r : sweep.records)
-        by_off[r.off_ms].add(r);
+    for (const TrialRecord &r : sweep.records)
+        by_off[r.spec.off_ms].add(r);
     md += "## Retention vs power-off time\n\n";
     md += "| off (ms) | trials | ok | success | mean accuracy |"
           " mean BER |\n";
@@ -250,9 +236,9 @@ buildCampaignReport(const SweepDoc &sweep,
         uint64_t found = 0, missing = 0, checked_bad = 0;
         uint64_t total_events = 0;
         std::map<std::string, SpanStats> merged;
-        for (const SweepRecord &r : sweep.records) {
+        for (const TrialRecord &r : sweep.records) {
             const std::string path =
-                trialTracePath(opts.trace_dir, r.index);
+                trialTracePath(opts.trace_dir, r.spec.index);
             if (!std::filesystem::exists(path)) {
                 ++missing;
                 if (opts.check)
@@ -321,7 +307,8 @@ buildCampaignReport(const SweepDoc &sweep,
         } else {
             md += renderHeartbeatSummary(beats);
             const Heartbeat &last = beats.back();
-            const uint64_t recorded = ok + attack_failed + errors;
+            const uint64_t recorded =
+                total - by_status[static_cast<size_t>(TrialStatus::Skipped)];
             md += "Final sample vs sweep result: " +
                   std::to_string(last.completed) + " completed in "
                   "heartbeats, " + std::to_string(recorded) +

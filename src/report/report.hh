@@ -92,8 +92,8 @@ struct CampaignReport
 CampaignReport buildCampaignReport(const SweepDoc &sweep,
                                    const CampaignReportOptions &opts);
 
-/** The `trial_NNNNNN.jsonl` path for @p index under @p trace_dir;
- * matches Campaign's own trace naming. */
+/** The `trial_NNNNNN.jsonl` path for @p index under @p trace_dir:
+ * where Campaign writes each trial's trace and the report finds it. */
 std::string trialTracePath(const std::string &trace_dir, uint64_t index);
 
 } // namespace report

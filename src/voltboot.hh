@@ -62,6 +62,7 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/campaign_result.hh"
+#include "campaign/schema.hh"
 #include "campaign/sweep_grid.hh"
 #include "campaign/trial_runner.hh"
 

@@ -44,23 +44,17 @@ fakeTrial(const TrialSpec &spec, uint64_t seed)
 
 TEST(SweepGrid, SizeIsAxisProduct)
 {
-    SweepGrid grid;
-    EXPECT_EQ(grid.size(), 1u);
+    EXPECT_EQ(SweepGrid().size(), 1u);
 
-    grid.boards = {"pi3", "pi4"};
-    grid.temps_c = {-80.0, -40.0, 25.0};
-    grid.offs_ms = {5.0, 500.0};
-    grid.seed_count = 7;
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi3,pi4;temp=-80,-40,25;off-ms=5,500;seeds=7");
     EXPECT_EQ(grid.size(), 2u * 3u * 2u * 7u);
 }
 
 TEST(SweepGrid, EnumerationCoversEveryPointExactlyOnce)
 {
-    SweepGrid grid;
-    grid.boards = {"pi3", "pi4"};
-    grid.attacks = {AttackKind::VoltBoot, AttackKind::ColdBoot};
-    grid.temps_c = {-110.0, 25.0};
-    grid.seed_count = 3;
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi3,pi4;attack=voltboot,coldboot;temp=-110,25;seeds=3");
 
     std::set<std::tuple<std::string, int, double, uint64_t>> seen;
     uint64_t count = 0;
@@ -76,10 +70,8 @@ TEST(SweepGrid, EnumerationCoversEveryPointExactlyOnce)
 
 TEST(SweepGrid, IndexDecodeOrdering)
 {
-    SweepGrid grid;
-    grid.boards = {"pi3", "pi4"};
-    grid.temps_c = {-80.0, 25.0};
-    grid.seed_count = 2;
+    const SweepGrid grid =
+        SweepGrid::parse("board=pi3,pi4;temp=-80,25;seeds=2");
 
     // Seed index varies fastest, board slowest.
     EXPECT_EQ(grid.at(0).seed_index, 0u);
@@ -111,7 +103,7 @@ TEST(SweepGrid, ParseAcceptsNewlinesAndComments)
         "temp=-110,-80\n"
         "seeds=2\n");
     EXPECT_EQ(grid.size(), 4u);
-    EXPECT_EQ(grid.attacks[0], AttackKind::ColdBoot);
+    EXPECT_EQ(grid.at(0).attack, AttackKind::ColdBoot);
 }
 
 TEST(SweepGrid, ParseRejectsMalformedSpecs)
@@ -150,17 +142,15 @@ TEST(SweepGrid, AxesHelpListsEveryAttackKind)
         const std::string name = toString(kind);
         EXPECT_NE(values.find("|" + name + "|"), std::string::npos)
             << name << " missing from: " << attack_row;
-        EXPECT_EQ(attackFromString(name), kind);
+        EXPECT_EQ(enumFromName<AttackKind>(name), kind);
     }
 }
 
 TEST(Campaign, JsonIsByteIdenticalAcrossJobCounts)
 {
-    SweepGrid grid;
-    grid.boards = {"pi3", "pi4"};
-    grid.temps_c = {-110.0, -40.0, 25.0};
-    grid.offs_ms = {5.0, 50.0};
-    grid.seed_count = 8; // 2*3*2*8 = 96 trials
+    // 2*3*2*8 = 96 trials
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi3,pi4;temp=-110,-40,25;off-ms=5,50;seeds=8");
 
     auto runWith = [&](unsigned jobs) {
         CampaignConfig cfg;
@@ -176,8 +166,7 @@ TEST(Campaign, JsonIsByteIdenticalAcrossJobCounts)
 
 TEST(Campaign, SeedChangesResults)
 {
-    SweepGrid grid;
-    grid.seed_count = 4;
+    const SweepGrid grid = SweepGrid::parse("seeds=4");
     CampaignConfig a, b;
     a.runner = b.runner = fakeTrial;
     a.seed = 1;
@@ -188,8 +177,7 @@ TEST(Campaign, SeedChangesResults)
 
 TEST(Campaign, ThrowingTrialIsIsolated)
 {
-    SweepGrid grid;
-    grid.seed_count = 32;
+    const SweepGrid grid = SweepGrid::parse("seeds=32");
     CampaignConfig cfg;
     cfg.jobs = 4;
     cfg.runner = [](const TrialSpec &spec, uint64_t seed) {
@@ -214,9 +202,7 @@ TEST(Campaign, UnsupportedComboRecordedAsErrorAndSweepCompletes)
 {
     // iRAM only exists on imx53; the pi4 x iram cross combos must be
     // captured as errors without sinking the rest of the campaign.
-    SweepGrid grid;
-    grid.boards = {"pi4"};
-    grid.targets = {TargetRam::Iram};
+    const SweepGrid grid = SweepGrid::parse("board=pi4;target=iram");
     CampaignConfig cfg;
     cfg.jobs = 1;
     const CampaignResult result = Campaign(grid, cfg).run();
@@ -227,8 +213,7 @@ TEST(Campaign, UnsupportedComboRecordedAsErrorAndSweepCompletes)
 
 TEST(Campaign, AbortSkipsRemainingTrials)
 {
-    SweepGrid grid;
-    grid.seed_count = 64;
+    const SweepGrid grid = SweepGrid::parse("seeds=64");
     CampaignConfig cfg;
     cfg.jobs = 1;
     cfg.chunk = 1;
@@ -250,8 +235,7 @@ TEST(Campaign, AbortSkipsRemainingTrials)
 
 TEST(Campaign, ProgressCallbackReportsMonotonically)
 {
-    SweepGrid grid;
-    grid.seed_count = 40;
+    const SweepGrid grid = SweepGrid::parse("seeds=40");
     CampaignConfig cfg;
     cfg.jobs = 4;
     cfg.runner = fakeTrial;
@@ -271,8 +255,7 @@ TEST(Campaign, ProgressCallbackReportsMonotonically)
 
 TEST(Campaign, CsvHasHeaderAndOneRowPerTrial)
 {
-    SweepGrid grid;
-    grid.seed_count = 5;
+    const SweepGrid grid = SweepGrid::parse("seeds=5");
     CampaignConfig cfg;
     cfg.runner = fakeTrial;
     const std::string csv = Campaign(grid, cfg).run().toCsv();

@@ -422,9 +422,9 @@ TEST(KeyRecoverySweep, EndToEndTrialProducesMetrics)
     const report::SweepDoc doc =
         report::parseSweepJson(result.toJson(), "keyfind-test");
     ASSERT_EQ(doc.records.size(), 1u);
-    EXPECT_EQ(doc.records[0].attack, "key-recovery");
-    EXPECT_EQ(doc.records[0].dump_count, 2u);
-    EXPECT_TRUE(doc.records[0].use_priors);
+    EXPECT_EQ(doc.records[0].spec.attack, AttackKind::KeyRecovery);
+    EXPECT_EQ(doc.records[0].spec.dump_count, 2u);
+    EXPECT_TRUE(doc.records[0].spec.use_priors);
     EXPECT_EQ(doc.records[0].kr_disagreeing_bits,
               rec.kr_disagreeing_bits);
 

@@ -127,6 +127,39 @@ TEST(ReportJson, RejectsTrailingContentAndBadGrammar)
     EXPECT_THROW(report::parseJson(""), report::JsonParseError);
 }
 
+TEST(ReportJson, RejectsNestingPastTheDepthLimit)
+{
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(report::parseJson(nested(report::kMaxJsonDepth)));
+    try {
+        report::parseJson(nested(report::kMaxJsonDepth + 1), "deep.json");
+        FAIL() << "nesting past the limit accepted";
+    } catch (const report::JsonParseError &e) {
+        EXPECT_EQ(e.column(), report::kMaxJsonDepth + 1);
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos);
+    }
+    // Deep enough to overflow an unbounded recursive descent.
+    EXPECT_THROW(report::parseJson(std::string(30000, '[')),
+                 report::JsonParseError);
+    EXPECT_THROW(report::parseJson(std::string(30000, '{')),
+                 report::JsonParseError);
+}
+
+TEST(ReportJson, UnsignedReadsAreLossless)
+{
+    const report::JsonValue v = report::parseJson(
+        "[18446744073709551615, 12345678901234567891, 0, 1.5, 1e20,"
+        " -1, 18446744073709551616, 1.0]");
+    EXPECT_EQ(v.items[0].asUint64(), UINT64_MAX);
+    EXPECT_EQ(v.items[1].asUint64(), 12345678901234567891ULL);
+    EXPECT_EQ(v.items[2].asUint64(), 0u);
+    for (size_t i = 3; i < v.items.size(); ++i)
+        EXPECT_FALSE(v.items[i].asUint64().has_value()) << v.items[i].text;
+}
+
 // --- trace reader round trip -----------------------------------------
 
 /** A deliberately adversarial event sequence: fractional timestamps
@@ -906,13 +939,26 @@ TEST(SpanAggregator, CollectsGenericCounterTracks)
 
 // --- campaign JSON parsing -------------------------------------------
 
+/** Every kRecordFields field of @p got equals that of @p want. */
+void
+expectSameFields(const TrialRecord &got, const TrialRecord &want)
+{
+    for (const RecordField &field : kRecordFields)
+        EXPECT_EQ(plainText(readMember(field.member, got)),
+                  plainText(readMember(field.member, want)))
+            << "record " << want.spec.index << " field " << field.name;
+}
+
 TEST(CampaignJson, RoundTripsThroughResultJson)
 {
     CampaignConfig cfg;
     cfg.jobs = 2;
     Campaign campaign(
-        SweepGrid::parse("board=pi4;attack=voltboot,coldboot;off-ms=5;"
-                         "seeds=1"),
+        SweepGrid::parse(
+            "board=pi4;attack=voltboot,coldboot,glitch,static-extract,"
+            "voltage-coupling,key-recovery;off-ms=5;glitch-off-ns=109;"
+            "glitch-width-ns=2;glitch-depth=0.5;undervolt-depth=0.45;"
+            "hold-ns=400;dumps=2;prior=1;key=1;seeds=1"),
         std::move(cfg));
     const CampaignResult result = campaign.run();
 
@@ -920,8 +966,10 @@ TEST(CampaignJson, RoundTripsThroughResultJson)
         report::parseSweepJson(result.toJson(true), "sweep.json");
     EXPECT_EQ(sweep.schema, "voltboot-campaign-v1");
     EXPECT_EQ(sweep.campaign_seed, result.campaign_seed);
+    EXPECT_EQ(sweep.grid, result.grid_spec);
     ASSERT_EQ(sweep.records.size(), result.records.size());
-    EXPECT_EQ(sweep.records[0].board, "pi4");
+    for (size_t i = 0; i < result.records.size(); ++i)
+        expectSameFields(sweep.records[i], result.records[i]);
     EXPECT_TRUE(sweep.has_timing);
     EXPECT_EQ(sweep.jobs, result.jobs);
     EXPECT_EQ(sweep.metrics.histograms.count("campaign.trial_wall_s"),
@@ -931,6 +979,154 @@ TEST(CampaignJson, RoundTripsThroughResultJson)
     const report::SweepDoc bare =
         report::parseSweepJson(result.toJson(false));
     EXPECT_FALSE(bare.has_timing);
+}
+
+/** The 20 keys of an original v1 record, in order. */
+const std::vector<std::pair<std::string, std::string>> kV1Record = {
+    {"index", "0"},
+    {"board", "\"pi3\""},
+    {"target", "\"icache\""},
+    {"attack", "\"coldboot\""},
+    {"temp_c", "-40"},
+    {"off_ms", "5"},
+    {"current_a", "3"},
+    {"impedance_mohm", "50"},
+    {"seed_index", "2"},
+    {"chip_seed", "18446744073709551615"},
+    {"status", "\"attack_failed\""},
+    {"detail", "\"boot failed\""},
+    {"probe_attached", "false"},
+    {"booted", "false"},
+    {"dump_bytes", "0"},
+    {"accuracy", "0.25"},
+    {"bit_error_rate", "0.75"},
+    {"key_planted", "false"},
+    {"key_found", "false"},
+    {"key_exact", "false"},
+};
+
+/** A one-record sweep document; the record's keys are @p fields with
+ * @p skip left out, one per line. */
+std::string
+sweepWithRecord(const std::vector<std::pair<std::string, std::string>>
+                    &fields,
+                const std::string &skip = "")
+{
+    std::string doc = "{\"schema\": \"voltboot-campaign-v1\",\n"
+                      "\"campaign_seed\": 18446744073709551615,\n"
+                      "\"grid\": \"g\", \"trials\": 1, \"records\": [{";
+    const char *sep = "\n";
+    for (const auto &[key, value] : fields) {
+        if (key == skip)
+            continue;
+        doc += sep + ("\"" + key + "\": " + value);
+        sep = ",\n";
+    }
+    return doc + "}]}";
+}
+
+TEST(CampaignJson, ReadsV1RecordsWithDefaults)
+{
+    size_t v1_fields = 0;
+    for (const RecordField &field : kRecordFields)
+        v1_fields += field.since == Since::V1;
+    ASSERT_EQ(v1_fields, kV1Record.size());
+
+    const report::SweepDoc doc =
+        report::parseSweepJson(sweepWithRecord(kV1Record));
+    EXPECT_EQ(doc.campaign_seed, UINT64_MAX);
+    ASSERT_EQ(doc.records.size(), 1u);
+    const TrialRecord &rec = doc.records[0];
+    EXPECT_EQ(rec.spec.board, "pi3");
+    EXPECT_EQ(rec.spec.target, TargetRam::ICache);
+    EXPECT_EQ(rec.spec.attack, AttackKind::ColdBoot);
+    EXPECT_EQ(rec.spec.seed_index, 2u);
+    EXPECT_EQ(rec.chip_seed, UINT64_MAX);
+    EXPECT_EQ(rec.status, TrialStatus::AttackFailed);
+    EXPECT_EQ(rec.detail, "boot failed");
+    EXPECT_EQ(rec.accuracy, 0.25);
+    // Every later field reads back as its TrialRecord default.
+    const TrialRecord defaults;
+    for (const RecordField &field : kRecordFields) {
+        if (field.since == Since::PostV1) {
+            EXPECT_EQ(plainText(readMember(field.member, rec)),
+                      plainText(readMember(field.member, defaults)))
+                << field.name;
+        }
+    }
+}
+
+TEST(CampaignJson, MissingRequiredKeyIsNamed)
+{
+    for (const auto &[key, value] : kV1Record) {
+        try {
+            report::parseSweepJson(sweepWithRecord(kV1Record, key));
+            ADD_FAILURE() << "record without \"" << key << "\" accepted";
+        } catch (const report::JsonParseError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "missing required key \"" + key + "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(CampaignJson, UnknownEnumSpellingFailsWithPosition)
+{
+    for (const auto &[key, bad] :
+         {std::pair<std::string, std::string>{"attack", "warmboot"},
+          {"target", "l9cache"},
+          {"status", "fine"}}) {
+        auto fields = kV1Record;
+        size_t line = 4; // the record's first key sits on line 4
+        for (auto &[k, v] : fields) {
+            if (k == key) {
+                v = "\"" + bad + "\"";
+                break;
+            }
+            ++line;
+        }
+        try {
+            report::parseSweepJson(sweepWithRecord(fields), "s.json");
+            ADD_FAILURE() << key << " \"" << bad << "\" accepted";
+        } catch (const report::JsonParseError &e) {
+            EXPECT_EQ(e.line(), line) << e.what();
+            EXPECT_EQ(e.column(), key.size() + 5) << e.what();
+            EXPECT_NE(std::string(e.what()).find("unknown " + key + " \"" +
+                                                 bad + "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(CampaignJson, UnsignedValuesAreExact)
+{
+    // 64-bit seeds round-trip; a double would keep only 53 bits.
+    CampaignResult result;
+    result.campaign_seed = UINT64_MAX;
+    result.records.emplace_back();
+    result.records[0].chip_seed = 12345678901234567891ULL;
+    const report::SweepDoc doc =
+        report::parseSweepJson(result.toJson(), "s.json");
+    EXPECT_EQ(doc.campaign_seed, UINT64_MAX);
+    ASSERT_EQ(doc.records.size(), 1u);
+    EXPECT_EQ(doc.records[0].chip_seed, 12345678901234567891ULL);
+
+    for (const char *bad : {"1.5", "1e20", "-1", "18446744073709551616"}) {
+        auto fields = kV1Record;
+        fields[14].second = bad; // dump_bytes
+        ASSERT_EQ(fields[14].first, "dump_bytes");
+        try {
+            report::parseSweepJson(sweepWithRecord(fields), "s.json");
+            ADD_FAILURE() << "dump_bytes " << bad << " accepted";
+        } catch (const report::JsonParseError &e) {
+            EXPECT_EQ(e.line(), 18u) << e.what();
+            EXPECT_NE(std::string(e.what()).find("unsigned integer"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CampaignJson, RejectsSchemaViolations)
@@ -1038,12 +1234,8 @@ TEST(CampaignReport, MissingTraceIsAProblemUnderCheck)
     report::SweepDoc sweep;
     sweep.schema = "voltboot-campaign-v1";
     sweep.grid = "g";
-    report::SweepRecord rec;
-    rec.index = 0;
-    rec.board = "pi4";
-    rec.target = "dcache";
-    rec.attack = "voltboot";
-    rec.status = "ok";
+    TrialRecord rec;
+    rec.status = TrialStatus::Ok;
     sweep.records.push_back(rec);
 
     report::CampaignReportOptions opts;
@@ -1239,6 +1431,19 @@ TEST(Cli, GlitchSweepTracesPassTheChecker)
                        " --check --out " + dir + "/report.md",
                    dir);
         EXPECT_EQ(check.exit_code, 0) << trial << ": " << check.err;
+    }
+}
+
+TEST(Cli, ReportRejectsDeeplyNestedJson)
+{
+    const std::string dir = tempDir("cli_deep");
+    const std::string path = dir + "/deep.json";
+    std::ofstream(path) << std::string(30000, '[');
+    for (const std::string kind : {"campaign", "trace"}) {
+        const CliResult r = runCli("report " + kind + " " + path, dir);
+        EXPECT_EQ(r.exit_code, 1) << kind << ": " << r.err;
+        EXPECT_NE(r.err.find("nesting deeper than"), std::string::npos)
+            << kind << ": " << r.err;
     }
 }
 

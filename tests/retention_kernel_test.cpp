@@ -772,13 +772,9 @@ readFile(const std::filesystem::path &p)
 
 TEST(GoldenEquivalence, CampaignJsonCsvAndTracesAreByteIdentical)
 {
-    SweepGrid grid;
-    grid.boards = {"pi4"};
-    grid.targets = {TargetRam::DCache};
-    grid.attacks = {AttackKind::VoltBoot, AttackKind::ColdBoot};
-    grid.temps_c = {25.0, -80.0};
-    grid.offs_ms = {5.0};
-    grid.seed_count = 1;
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi4;target=dcache;attack=voltboot,coldboot;temp=25,-80;"
+        "off-ms=5;seeds=1");
 
     const auto trace_root =
         std::filesystem::temp_directory_path() / "voltboot_golden_traces";

@@ -281,12 +281,10 @@ runGrid(const SweepGrid &grid, unsigned jobs)
 
 TEST(SidechannelCampaign, StaticExtractIsByteIdenticalAcrossJobs)
 {
-    SweepGrid grid;
-    grid.attacks = {AttackKind::StaticExtract};
-    grid.undervolt_depths_v = {0.1, 0.45};
-    grid.holds_ns = {400.0}; // hold 0 = no ramp, nothing would freeze
-    grid.readout_rates = {0.0, 64.0};
-    grid.seed_count = 2;
+    // hold 0 = no ramp, nothing would freeze
+    const SweepGrid grid = SweepGrid::parse(
+        "attack=static-extract;undervolt-depth=0.1,0.45;hold-ns=400;"
+        "readout-rate=0,64;seeds=2");
 
     const CampaignResult one = runGrid(grid, 1);
     const CampaignResult four = runGrid(grid, 4);
@@ -301,10 +299,8 @@ TEST(SidechannelCampaign, StaticExtractIsByteIdenticalAcrossJobs)
 
 TEST(SidechannelCampaign, CouplingIsByteIdenticalAcrossJobs)
 {
-    SweepGrid grid;
-    grid.attacks = {AttackKind::VoltageCoupling};
-    grid.cpa_windows_ns = {0.0, 8.0};
-    grid.seed_count = 2;
+    const SweepGrid grid = SweepGrid::parse(
+        "attack=voltage-coupling;cpa-window-ns=0,8;seeds=2");
 
     const CampaignResult one = runGrid(grid, 1);
     const CampaignResult four = runGrid(grid, 4);

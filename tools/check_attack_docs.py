@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Fail when docs/ATTACKS.md drifts from the attack/axis code.
 
-Single source of truth for what exists:
+Single source of truth for what exists, all in the campaign schema
+``src/campaign/schema.hh``:
 
- - The ``AttackKind`` enum (searched for in ``src/core/attack.hh`` and
-   ``src/campaign/sweep_grid.hh`` -- it has moved once already) and the
-   ``kAttackNames`` table in ``src/campaign/sweep_grid.hh``, which names
-   every attack the sweep engine accepts.
- - The ``axes[]`` table inside ``SweepGrid::axesHelp()`` in
-   ``src/campaign/sweep_grid.cc``, which is exactly what
-   ``voltboot_cli sweep --list-axes`` prints.
+ - the ``AttackKind`` enum and the ``kAttackNames`` table, which names
+   every attack the sweep engine accepts;
+ - the ``kGridAxes`` table, which drives the grid parser and is exactly
+   what ``voltboot_cli sweep --list-axes`` prints.
 
 What docs/ATTACKS.md must provide:
 
@@ -27,14 +25,12 @@ import os
 import re
 import sys
 
-ENUM_FILES = ("src/core/attack.hh", "src/campaign/sweep_grid.hh")
-GRID_CC = "src/campaign/sweep_grid.cc"
-GRID_HH = "src/campaign/sweep_grid.hh"
+SCHEMA = "src/campaign/schema.hh"
 DOC = "docs/ATTACKS.md"
 
 ENUM_RE = re.compile(r"enum\s+class\s+AttackKind\s*{([^}]*)}", re.S)
 NAME_RE = re.compile(r'\{AttackKind::(\w+),\s*"([a-z0-9-]+)"\}')
-AXIS_RE = re.compile(r'\{"([a-z0-9-]+)",')
+AXIS_RE = re.compile(r'VOLTBOOT_AXIS\("([a-z0-9-]+)",')
 
 
 def read(root, rel):
@@ -42,50 +38,37 @@ def read(root, rel):
         return fh.read()
 
 
-def enum_members(root):
-    for rel in ENUM_FILES:
-        path = os.path.join(root, rel)
-        if not os.path.exists(path):
-            continue
-        match = ENUM_RE.search(read(root, rel))
-        if match:
-            body = re.sub(r"//[^\n]*", "", match.group(1))
-            members = [m for m in re.findall(r"\b(\w+)\s*,?", body)]
-            return rel, members
-    return None, []
+def enum_members(text):
+    match = ENUM_RE.search(text)
+    if not match:
+        return []
+    body = re.sub(r"//[^\n]*", "", match.group(1))
+    return re.findall(r"\b(\w+)\s*,?", body)
 
 
-def attack_names(root):
-    return {enum: name
-            for enum, name in NAME_RE.findall(read(root, GRID_HH))}
-
-
-def axis_keys(root):
-    text = read(root, GRID_CC)
-    start = text.find("axesHelp")
+def axis_keys(text):
+    start = text.find("kGridAxes[] = {")
     if start < 0:
         return []
-    return AXIS_RE.findall(text[start:])
+    return AXIS_RE.findall(text[start:text.find("};", start)])
 
 
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     problems = []
 
-    enum_file, members = enum_members(root)
+    schema = read(root, SCHEMA)
+    members = enum_members(schema)
     if not members:
-        problems.append(
-            "AttackKind enum not found in any of: " +
-            ", ".join(ENUM_FILES))
-    names = attack_names(root)
+        problems.append(f"{SCHEMA}: AttackKind enum not found")
+    names = dict(NAME_RE.findall(schema))
     for member in members:
         if member not in names:
             problems.append(
-                f"{GRID_HH}: AttackKind::{member} (from {enum_file}) "
-                "has no kAttackNames entry")
-    axes = axis_keys(root)
+                f"{SCHEMA}: AttackKind::{member} has no kAttackNames entry")
+    axes = axis_keys(schema)
     if not axes:
-        problems.append(f"{GRID_CC}: no axes[] table in axesHelp()")
+        problems.append(f"{SCHEMA}: no kGridAxes table")
 
     doc = read(root, DOC)
     for name in sorted(names.values()):

@@ -286,6 +286,10 @@ prepareVictim(Soc &soc, const std::string &target)
 int
 cmdAttack(const Options &o)
 {
+    const std::optional<TargetRam> target =
+        enumFromName<TargetRam>(o.target);
+    if (!target)
+        usageFatal("unknown target '", o.target, "'");
     SocConfig cfg = configFor(o.board);
     Soc soc(cfg);
     soc.setAmbient(Temperature::celsius(o.temp_c));
@@ -308,21 +312,7 @@ cmdAttack(const Options &o)
         return 1;
     }
 
-    MemoryImage dump;
-    if (o.target == "dcache")
-        dump = attack.dumpL1(0, L1Ram::DData);
-    else if (o.target == "icache")
-        dump = attack.dumpL1(0, L1Ram::IData);
-    else if (o.target == "regs")
-        dump = attack.dumpVectorRegisters(0);
-    else if (o.target == "iram")
-        dump = attack.dumpIram();
-    else if (o.target == "tlb")
-        dump = attack.dumpDtlb(0);
-    else if (o.target == "btb")
-        dump = attack.dumpBtb(0);
-    else
-        usageFatal("unknown target '", o.target, "'");
+    const MemoryImage dump = dumpTarget(attack, *target);
 
     std::cout << "\ndump: " << dump.sizeBytes()
               << " bytes, ones density "
@@ -487,30 +477,10 @@ abortSignalHandler(int)
 std::vector<telemetry::AxisDesc>
 monitorAxes(const SweepGrid &grid)
 {
-    const std::pair<const char *, uint64_t> all[] = {
-        {"board", grid.boards.size()},
-        {"target", grid.targets.size()},
-        {"attack", grid.attacks.size()},
-        {"temp", grid.temps_c.size()},
-        {"off-ms", grid.offs_ms.size()},
-        {"current", grid.currents_a.size()},
-        {"impedance-mohm", grid.impedances_mohm.size()},
-        {"glitch-off-ns", grid.glitch_offs_ns.size()},
-        {"glitch-width-ns", grid.glitch_widths_ns.size()},
-        {"glitch-depth", grid.glitch_depths_v.size()},
-        {"undervolt-depth", grid.undervolt_depths_v.size()},
-        {"hold-ns", grid.holds_ns.size()},
-        {"readout-rate", grid.readout_rates.size()},
-        {"cpa-window-ns", grid.cpa_windows_ns.size()},
-        {"dumps", grid.dump_counts.size()},
-        {"prior", grid.use_priors.size()},
-        {"key", grid.plant_key.size()},
-        {"seeds", grid.seed_count},
-    };
     std::vector<telemetry::AxisDesc> axes;
-    for (const auto &[name, size] : all)
-        if (size > 1)
-            axes.push_back({name, size});
+    for (size_t a = 0; a < std::size(kGridAxes); ++a)
+        if (grid.axisSize(a) > 1)
+            axes.push_back({kGridAxes[a].key, grid.axisSize(a)});
     return axes;
 }
 
@@ -534,7 +504,7 @@ cmdSweep(const SweepOptions &o)
         grid = SweepGrid::parse(spec);
     }
     if (!o.attack.empty())
-        grid.attacks = {attackFromString(o.attack)};
+        grid.set("attack", o.attack);
 
     CampaignConfig cfg;
     cfg.jobs = o.jobs;
