@@ -3,18 +3,55 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "report/report.hh"
 #include "telemetry/counters.hh"
+#include "telemetry/monitor.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace voltboot
 {
+
+namespace
+{
+
+/**
+ * The engine's timing metrics, built from the finished records: exact
+ * histograms of trial wall time and of each phase's per-trial total,
+ * plus the pool's shape.
+ */
+trace::MetricsSnapshot
+timingMetrics(const std::vector<TrialRecord> &records, unsigned jobs,
+              uint64_t chunk)
+{
+    std::vector<double> trial_wall;
+    std::vector<std::array<double, telemetry::kPhaseCount>> phase_wall;
+    for (const TrialRecord &rec : records) {
+        if (rec.status == TrialStatus::Skipped)
+            continue;
+        trial_wall.push_back(rec.duration_s);
+        phase_wall.push_back(rec.phase_wall_s);
+    }
+
+    trace::MetricsSnapshot m;
+    m.gauges["campaign.jobs"] = static_cast<double>(jobs);
+    m.gauges["campaign.chunk"] = static_cast<double>(chunk);
+    // Every grab of the chunked cursor below the total hands out work.
+    const uint64_t n = records.size();
+    m.counters["campaign.queue_grabs"] =
+        static_cast<double>(n / chunk + (n % chunk != 0));
+    if (!trial_wall.empty())
+        m.histograms["campaign.trial_wall_s"] =
+            trace::summarize(std::move(trial_wall));
+    telemetry::addPhaseHistograms(m, phase_wall);
+    return m;
+}
+
+} // namespace
 
 Campaign::Campaign(SweepGrid grid, CampaignConfig config)
     : grid_(std::move(grid)), config_(std::move(config))
@@ -55,20 +92,7 @@ Campaign::run()
     if (tracing)
         std::filesystem::create_directories(config_.trace_dir);
 
-    // Engine metrics (queue behaviour, per-trial wall-clock). All
-    // wall-clock derived, so they end up in CampaignResult::metrics and
-    // only ever render inside the opt-in timing section.
-    trace::Metrics metrics;
-    metrics.set("campaign.jobs", static_cast<double>(jobs));
-    metrics.set("campaign.chunk", static_cast<double>(chunk));
-
     std::atomic<uint64_t> cursor{0};
-    std::atomic<uint64_t> done{0};
-    std::mutex progress_mutex;
-    // Wall time of the last progress report. The relaxed pre-check
-    // keeps the common no-report path mutex-free; the real decision is
-    // re-taken under progress_mutex.
-    std::atomic<double> last_progress_s{0.0};
     const auto t0 = clock::now();
 
     auto elapsedSince = [](clock::time_point start) {
@@ -77,9 +101,6 @@ Campaign::run()
     };
 
     auto worker = [&]() {
-        // Metrics is thread-safe; the registry is shared by all
-        // workers. The trace sink below is per-trial, never shared.
-        trace::MetricsScope metrics_scope(&metrics);
         // Every hot-path counter this worker touches lands in its own
         // cache-line-padded block; the telemetry monitor sums them.
         telemetry::WorkerScope telemetry_scope;
@@ -87,7 +108,6 @@ Campaign::run()
             const uint64_t begin = cursor.fetch_add(chunk);
             if (begin >= total)
                 break;
-            metrics.add("campaign.queue_grabs");
             const uint64_t end = std::min(begin + chunk, total);
             for (uint64_t i = begin; i < end; ++i) {
                 TrialRecord rec;
@@ -99,6 +119,8 @@ Campaign::run()
                 } else {
                     telemetry::add(telemetry::Counter::TrialsStarted);
                     const auto start = clock::now();
+                    const telemetry::PhaseTimes phases_before =
+                        telemetry::tl_phase_times;
                     trace::MemoryTraceSink sink;
                     {
                         // The Scope resets this thread's sim clock, so
@@ -137,8 +159,8 @@ Campaign::run()
                         }
                     }
                     rec.duration_s = elapsedSince(start);
-                    metrics.observe("campaign.trial_wall_s",
-                                    rec.duration_s);
+                    rec.phase_wall_s =
+                        telemetry::phaseSecondsSince(phases_before);
                     if (tracing)
                         CampaignResult::writeFile(
                             report::trialTracePath(config_.trace_dir, i),
@@ -158,51 +180,6 @@ Campaign::run()
                         telemetry::add(telemetry::Counter::TrialsFailed);
                 }
                 result.records[i] = std::move(rec);
-
-                const uint64_t d =
-                    done.fetch_add(1, std::memory_order_relaxed) + 1;
-                if (config_.progress) {
-                    const double interval =
-                        config_.progress_interval.seconds();
-                    const bool count_due =
-                        d % std::max<uint64_t>(
-                                1, config_.progress_every) == 0 ||
-                        d == total;
-                    const bool maybe_time_due =
-                        interval > 0.0 &&
-                        elapsedSince(t0) -
-                                last_progress_s.load(
-                                    std::memory_order_relaxed) >=
-                            interval;
-                    if (count_due || maybe_time_due) {
-                        std::lock_guard<std::mutex> lock(progress_mutex);
-                        const double now_s = elapsedSince(t0);
-                        const bool time_due =
-                            interval > 0.0 &&
-                            now_s - last_progress_s.load(
-                                        std::memory_order_relaxed) >=
-                                interval;
-                        if (count_due || time_due) {
-                            last_progress_s.store(
-                                now_s, std::memory_order_relaxed);
-                            CampaignProgress p;
-                            p.done = d;
-                            p.total = total;
-                            p.elapsed_s = now_s;
-                            p.trials_per_sec =
-                                p.elapsed_s > 0.0
-                                    ? static_cast<double>(d) /
-                                          p.elapsed_s
-                                    : 0.0;
-                            p.eta_s =
-                                p.trials_per_sec > 0.0
-                                    ? static_cast<double>(total - d) /
-                                          p.trials_per_sec
-                                    : 0.0;
-                            config_.progress(p);
-                        }
-                    }
-                }
             }
         }
     };
@@ -219,7 +196,7 @@ Campaign::run()
     }
 
     result.wall_seconds = elapsedSince(t0);
-    result.metrics = metrics.snapshot();
+    result.metrics = timingMetrics(result.records, jobs, chunk);
     return result;
 }
 

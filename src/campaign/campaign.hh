@@ -22,11 +22,11 @@
  * `<trace_dir>/trial_NNNNNN.jsonl`. Because trace timestamps are
  * simulation time and each trial is hermetic, those files are
  * byte-identical for any worker count — the determinism contract
- * extends to traces. The engine also maintains a trace::Metrics
- * registry (queue grabs, chunk size, per-trial wall-clock histogram)
- * whose snapshot lands in CampaignResult::metrics; that snapshot is
- * wall-clock derived and therefore only ever rendered in the opt-in
- * timing section of the JSON output. See docs/TRACING.md.
+ * extends to traces. Each record also carries its trial's wall time,
+ * total and per telemetry phase; after the run they become
+ * CampaignResult::metrics, which is wall-clock derived and therefore
+ * only ever rendered in the opt-in timing section of the JSON output.
+ * See docs/TRACING.md.
  */
 
 #ifndef VOLTBOOT_CAMPAIGN_CAMPAIGN_HH
@@ -44,17 +44,6 @@
 namespace voltboot
 {
 
-/** Periodic progress report (delivered from worker threads, one at a
- * time under an internal mutex). */
-struct CampaignProgress
-{
-    uint64_t done = 0;
-    uint64_t total = 0;
-    double elapsed_s = 0.0;
-    double trials_per_sec = 0.0;
-    double eta_s = 0.0;
-};
-
 /** Engine knobs. */
 struct CampaignConfig
 {
@@ -69,14 +58,6 @@ struct CampaignConfig
     Seconds trial_timeout{0.0};
     /** Abort the campaign when a trial overruns trial_timeout. */
     bool abort_on_timeout = false;
-    /** Progress callback; invoked about every progress_every trials,
-     * and additionally whenever progress_interval wall-clock time has
-     * passed since the last report (0 disables the periodic path).
-     * Long sweeps of slow trials thus still report regularly even when
-     * far fewer than progress_every trials finish per interval. */
-    std::function<void(const CampaignProgress &)> progress;
-    uint64_t progress_every = 32;
-    Seconds progress_interval{0.0};
     /**
      * Trial function; defaults to runTrial(). Replaceable for tests
      * (e.g. fault injection) and future remote/sharded executors. May
@@ -101,7 +82,7 @@ class Campaign
     CampaignResult run();
 
     /** Ask the engine to stop handing out new trials (thread-safe;
-     * callable from a progress callback or another thread). */
+     * callable from a trial runner or another thread). */
     void requestAbort() { abort_.store(true, std::memory_order_relaxed); }
     bool aborted() const
     { return abort_.load(std::memory_order_relaxed); }

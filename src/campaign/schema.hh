@@ -14,6 +14,7 @@
 #ifndef VOLTBOOT_CAMPAIGN_SCHEMA_HH
 #define VOLTBOOT_CAMPAIGN_SCHEMA_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -23,6 +24,7 @@
 #include <variant>
 
 #include "sim/logging.hh"
+#include "telemetry/counters.hh"
 
 namespace voltboot
 {
@@ -215,6 +217,9 @@ struct TrialRecord
 
     /** Wall-clock cost; timing only, never in canonical output. */
     double duration_s = 0.0;
+    /** Wall seconds the trial spent in each telemetry::Phase (timing
+     * only; 0 for phases its family never enters). */
+    std::array<double, telemetry::kPhaseCount> phase_wall_s{};
     /** The trial overran CampaignConfig::trial_timeout (timing only). */
     bool timed_out = false;
 };
@@ -360,7 +365,7 @@ struct RecordField
 
 /** Every canonical record field, in JSON key order. The CSV uses the
  * same order with the csv_last column moved to the end. Timing-only
- * members (duration_s, timed_out) are not fields. */
+ * members (duration_s, phase_wall_s, timed_out) are not fields. */
 inline constexpr RecordField kRecordFields[] = {
     VOLTBOOT_SPEC_FIELD(index, V1),
     VOLTBOOT_SPEC_FIELD(board, V1),

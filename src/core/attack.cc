@@ -1,6 +1,5 @@
 #include "core/attack.hh"
 
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -10,7 +9,7 @@
 #include "mem/memory_system.hh"
 #include "os/workloads.hh"
 #include "sim/logging.hh"
-#include "trace/metrics.hh"
+#include "soc/step_scope.hh"
 #include "trace/trace.hh"
 
 namespace voltboot
@@ -18,54 +17,6 @@ namespace voltboot
 
 namespace
 {
-
-/**
- * Per-attack-step observability: one simulation-time Complete event in
- * category "core" (deterministic, lands in the trace) plus a wall-clock
- * duration observed into the thread's Metrics registry (non-canonical,
- * lands only in metrics snapshots). Construction and destruction sync
- * the trace clock with the Soc's event queue so the span brackets any
- * simulated time the step consumed.
- */
-class StepScope
-{
-  public:
-    StepScope(Soc &soc, std::string name)
-        : sync_(soc), soc_(soc), span_("core", name),
-          metric_("core.wall_s." + name),
-          t0_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~StepScope()
-    {
-        trace::setSimTime(soc_.eventQueue().now());
-        span_.end();
-        if (trace::Metrics *m = trace::metricsRegistry()) {
-            m->observe(metric_,
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0_)
-                           .count());
-        }
-    }
-
-    void arg(trace::Arg a) { span_.arg(std::move(a)); }
-
-  private:
-    struct ClockSync
-    {
-        explicit ClockSync(Soc &soc)
-        {
-            trace::setSimTime(soc.eventQueue().now());
-        }
-    };
-
-    ClockSync sync_; ///< Must precede span_: syncs the clock it reads.
-    Soc &soc_;
-    trace::Span span_;
-    std::string metric_;
-    std::chrono::steady_clock::time_point t0_;
-};
 
 /** Map an L1Ram selector onto (descriptor ram id, geometry). */
 void
@@ -219,7 +170,7 @@ VoltBootAttack::attachProbe()
 AttackOutcome
 VoltBootAttack::attachProbeAt(const std::string &pad_label)
 {
-    StepScope step(soc_, "attack.steps12_probe");
+    StepScope step(soc_, telemetry::Phase::Steps12Probe);
     step.arg({"pad", pad_label});
 
     AttackOutcome out;
@@ -251,7 +202,7 @@ VoltBootAttack::attachProbeAt(const std::string &pad_label)
 AttackOutcome
 VoltBootAttack::powerCycleAndBoot()
 {
-    StepScope step(soc_, "attack.step3_power_cycle");
+    StepScope step(soc_, telemetry::Phase::Step3PowerCycle);
     step.arg({"off_ms", config_.off_time.milliseconds()});
 
     AttackOutcome out;
@@ -337,7 +288,7 @@ VoltBootAttack::dumpL1Way(size_t core, L1Ram ram, size_t way)
 {
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
-    StepScope step(soc_, "attack.step4_extract");
+    StepScope step(soc_, telemetry::Phase::Step4Extract);
     unsigned ram_id;
     CacheGeometry geom;
     bool is_tag;
@@ -387,7 +338,7 @@ VoltBootAttack::dumpVectorRegisters(size_t core)
 {
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
-    StepScope step(soc_, "attack.step4_extract");
+    StepScope step(soc_, telemetry::Phase::Step4Extract);
     step.arg({"what", "vector_registers"});
     step.arg({"core", static_cast<uint64_t>(core)});
     step.arg({"bytes", static_cast<uint64_t>(32 * 16)});
@@ -409,7 +360,7 @@ VoltBootAttack::dumpDtlb(size_t core)
 {
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
-    StepScope step(soc_, "attack.step4_extract");
+    StepScope step(soc_, telemetry::Phase::Step4Extract);
     step.arg({"what", "dtlb"});
     step.arg({"core", static_cast<uint64_t>(core)});
     const uint64_t load =
@@ -438,7 +389,7 @@ VoltBootAttack::dumpBtb(size_t core)
 {
     if (!booted_)
         fatal("VoltBootAttack: execute() the power cycle before dumping");
-    StepScope step(soc_, "attack.step4_extract");
+    StepScope step(soc_, telemetry::Phase::Step4Extract);
     step.arg({"what", "btb"});
     step.arg({"core", static_cast<uint64_t>(core)});
     const uint64_t load =
@@ -463,7 +414,7 @@ VoltBootAttack::dumpIram()
         fatal("VoltBootAttack: execute() the power cycle before dumping");
     if (!soc_.jtag().available())
         fatal("VoltBootAttack: platform has no JTAG; use the cache path");
-    StepScope step(soc_, "attack.step4_extract");
+    StepScope step(soc_, telemetry::Phase::Step4Extract);
     step.arg({"what", "iram"});
     step.arg({"bytes",
               static_cast<uint64_t>(soc_.config().iram_bytes)});
@@ -483,7 +434,7 @@ ColdBootAttack::ColdBootAttack(Soc &soc, Temperature temperature,
 bool
 ColdBootAttack::powerCycleAndBoot()
 {
-    StepScope step(soc_, "coldboot.power_cycle");
+    StepScope step(soc_, telemetry::Phase::ColdBootPowerCycle);
     step.arg({"temp_c", temperature_.celsiusDegrees()});
     step.arg({"off_ms", off_time_.milliseconds()});
     // Chill the board in the thermal chamber, no probe anywhere.
@@ -601,7 +552,7 @@ GlitchAttack::execute()
     if (!soc_.poweredOn())
         fatal("GlitchAttack: the board must be powered on");
 
-    StepScope scope(soc_, "attack.glitch");
+    StepScope scope(soc_, telemetry::Phase::Glitch);
     scope.arg({"offset_s", config_.pulse.offset.seconds()});
     scope.arg({"width_s", config_.pulse.width.seconds()});
     scope.arg({"depth_v", config_.pulse.depth.volts()});

@@ -24,9 +24,9 @@
  * attack.steps12_probe, attack.step3_power_cycle, attack.step4_extract,
  * coldboot.power_cycle — stamped in simulation time with the step's
  * parameters and outcome as args, interleaved with the power/sram/soc
- * events the step provokes. Each step's *wall-clock* cost is observed
- * into the thread's trace::Metrics registry (core.wall_s.<step>), never
- * into the deterministic trace. Schema: docs/TRACING.md.
+ * events the step provokes. Each step's *wall-clock* cost is added to
+ * the thread's telemetry phase accumulator (soc/step_scope.hh), never
+ * to the deterministic trace. Schema: docs/TRACING.md.
  */
 
 #ifndef VOLTBOOT_CORE_ATTACK_HH

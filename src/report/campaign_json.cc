@@ -212,53 +212,5 @@ readSweepFile(const std::string &path)
     return parseSweepJson(readFileOrFatal(path, "sweep result"), path);
 }
 
-double
-Baseline::bestTrialsPerSecond() const
-{
-    double best = 0.0;
-    for (const BaselineRun &run : runs)
-        best = std::max(best, run.trials_per_second);
-    return best;
-}
-
-const BaselineRun *
-Baseline::runForJobs(uint64_t jobs) const
-{
-    for (const BaselineRun &run : runs)
-        if (run.jobs == jobs)
-            return &run;
-    return nullptr;
-}
-
-Baseline
-parseBaselineJson(std::string_view text, const std::string &source)
-{
-    const JsonValue doc = parseJson(text, source);
-    if (!doc.isObject())
-        schemaFail(source, doc, "baseline document must be an object");
-
-    Baseline base;
-    base.bench = get<std::string>(doc, "bench", source);
-    base.trials = get<uint64_t>(doc, "trials", source);
-    for (const JsonValue &r :
-         member(doc, "runs", JsonValue::Kind::Array, source).items) {
-        if (!r.isObject())
-            schemaFail(source, r, "baseline runs must be objects");
-        BaselineRun run;
-        run.jobs = get<uint64_t>(r, "jobs", source);
-        run.wall_seconds = get<double>(r, "wall_seconds", source);
-        run.trials_per_second =
-            get<double>(r, "trials_per_second", source);
-        base.runs.push_back(run);
-    }
-    return base;
-}
-
-Baseline
-readBaselineFile(const std::string &path)
-{
-    return parseBaselineJson(readFileOrFatal(path, "baseline"), path);
-}
-
 } // namespace report
 } // namespace voltboot

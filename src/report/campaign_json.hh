@@ -1,8 +1,7 @@
 /**
  * @file
- * Parsers for the campaign result JSON (`CampaignResult::toJson`) and
- * the bench baseline artefacts (`BENCH_campaign.json`), feeding the
- * report generator.
+ * Parser for the campaign result JSON (`CampaignResult::toJson`),
+ * feeding the report generator.
  *
  * Loading a sweep back through this reader is the inverse of
  * `CampaignResult::toJson()`: every record field in kRecordFields
@@ -56,34 +55,6 @@ SweepDoc parseSweepJson(std::string_view text,
 
 /** Load and parse a sweep JSON file; fatal() if unreadable. */
 SweepDoc readSweepFile(const std::string &path);
-
-/** One `runs[]` entry of a BENCH_campaign.json artefact. */
-struct BaselineRun
-{
-    uint64_t jobs = 0;
-    double wall_seconds = 0.0;
-    double trials_per_second = 0.0;
-};
-
-/** A BENCH_campaign.json throughput baseline. */
-struct Baseline
-{
-    std::string bench;
-    uint64_t trials = 0;
-    std::vector<BaselineRun> runs;
-
-    /** Best throughput over all runs; 0 when there are none. */
-    double bestTrialsPerSecond() const;
-    /** Throughput of the run with matching @p jobs, or nullptr. */
-    const BaselineRun *runForJobs(uint64_t jobs) const;
-};
-
-/** Parse a BENCH_campaign.json document; throws JsonParseError. */
-Baseline parseBaselineJson(std::string_view text,
-                           const std::string &source = "<string>");
-
-/** Load and parse a baseline file; fatal() if unreadable. */
-Baseline readBaselineFile(const std::string &path);
 
 } // namespace report
 } // namespace voltboot

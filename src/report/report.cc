@@ -344,52 +344,6 @@ buildCampaignReport(const SweepDoc &sweep,
         }
     }
 
-    // --- Regression vs baseline -----------------------------------
-    if (opts.baseline != nullptr) {
-        md += "## Throughput vs baseline\n\n";
-        if (!sweep.has_timing) {
-            md += "Sweep has no timing section (run with --timing to "
-                  "compare against a baseline).\n\n";
-        } else {
-            const BaselineRun *run =
-                opts.baseline->runForJobs(sweep.jobs);
-            const double base_tps =
-                run ? run->trials_per_second
-                    : opts.baseline->bestTrialsPerSecond();
-            md += "- baseline `" + opts.baseline->bench + "`: " +
-                  fmt("%.1f", base_tps) + " trials/s" +
-                  (run ? " (matched at " + std::to_string(sweep.jobs) +
-                             " job(s))"
-                       : " (best run; no matching job count)") +
-                  "\n";
-            if (base_tps > 0.0) {
-                const double ratio =
-                    sweep.trials_per_second / base_tps;
-                md += "- this sweep: " +
-                      fmt("%.1f", sweep.trials_per_second) +
-                      " trials/s, " + fmt("%.2f", ratio) +
-                      "x baseline (threshold " +
-                      fmt("%.2f", opts.regression_threshold) + "x)\n";
-                if (ratio < opts.regression_threshold) {
-                    md += "- **REGRESSION**: throughput below "
-                          "threshold\n";
-                    report.problems.push_back(
-                        "throughput_regression: " +
-                        fmt("%.1f", sweep.trials_per_second) +
-                        " trials/s is " + fmt("%.2f", ratio) +
-                        "x the baseline " + fmt("%.1f", base_tps) +
-                        " trials/s (threshold " +
-                        fmt("%.2f", opts.regression_threshold) + "x)");
-                } else {
-                    md += "- OK: throughput within threshold\n";
-                }
-            } else {
-                md += "- baseline throughput is zero; no comparison\n";
-            }
-            md += "\n";
-        }
-    }
-
     return report;
 }
 

@@ -8,16 +8,15 @@
  *    statistics, the reconstructed span tree, per-domain voltage
  *    waveform summaries, and (optionally) the invariant check verdict.
  *
- *  - Campaign report: a sweep JSON joined with its per-trial traces and
- *    an optional throughput baseline — outcome summary, per-board /
- *    per-target success and bit-error tables, the paper's
- *    retention-vs-off-time view, aggregated trace statistics, and, when
- *    the sweep carries its opt-in timing section, wall-clock percentile
- *    tables plus a regression verdict against the baseline.
+ *  - Campaign report: a sweep JSON joined with its per-trial traces —
+ *    outcome summary, per-board / per-target success and bit-error
+ *    tables, the paper's retention-vs-off-time view, aggregated trace
+ *    statistics, and, when the sweep carries its opt-in timing section,
+ *    wall-clock percentile tables.
  *
  * Determinism note: every section derived from canonical inputs
  * (records, traces) is byte-stable across runs and job counts. The
- * wall-clock and regression sections are derived from the sweep's
+ * wall-clock section is derived from the sweep's
  * non-canonical `timing` section and only appear when the sweep was
  * run with `--timing`; a canonical sweep yields a canonical report.
  */
@@ -61,9 +60,6 @@ struct CampaignReportOptions
      * per-trial trace join. */
     std::string trace_dir;
 
-    /** Optional throughput baseline (BENCH_campaign.json). */
-    const Baseline *baseline = nullptr;
-
     /** Telemetry heartbeat JSONL (`sweep --heartbeat`) to join into
      * the throughput section; empty skips it. */
     std::string heartbeat_path;
@@ -71,10 +67,6 @@ struct CampaignReportOptions
     /** Invariant-check every joined trace; violations (and missing
      * trace files) become problems. */
     bool check = false;
-
-    /** Minimum acceptable throughput as a fraction of the baseline;
-     * below this the regression section flags a problem. */
-    double regression_threshold = 0.5;
 };
 
 /** A rendered campaign report plus everything that went wrong. */
@@ -83,12 +75,12 @@ struct CampaignReport
     std::string markdown;
 
     /** Human-readable problems: invariant violations per trial trace,
-     * missing trace files (under --check), throughput regressions.
+     * missing trace files (under --check).
      * Non-empty means the report subcommand exits non-zero. */
     std::vector<std::string> problems;
 };
 
-/** Join @p sweep with traces/baseline per @p opts and render. */
+/** Join @p sweep with its traces per @p opts and render. */
 CampaignReport buildCampaignReport(const SweepDoc &sweep,
                                    const CampaignReportOptions &opts);
 

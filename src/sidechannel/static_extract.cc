@@ -1,7 +1,6 @@
 #include "sidechannel/static_extract.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 
@@ -9,7 +8,7 @@
 #include "mem/memory_system.hh"
 #include "os/workloads.hh"
 #include "sim/logging.hh"
-#include "trace/metrics.hh"
+#include "soc/step_scope.hh"
 #include "trace/trace.hh"
 
 namespace voltboot
@@ -19,47 +18,6 @@ namespace sidechannel
 
 namespace
 {
-
-/** Simulation-time span + wall-clock metric, as core/attack.cc does. */
-class StepScope
-{
-  public:
-    StepScope(Soc &soc, std::string name)
-        : sync_(soc), soc_(soc), span_("core", name),
-          metric_("core.wall_s." + name),
-          t0_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~StepScope()
-    {
-        trace::setSimTime(soc_.eventQueue().now());
-        span_.end();
-        if (trace::Metrics *m = trace::metricsRegistry()) {
-            m->observe(metric_,
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0_)
-                           .count());
-        }
-    }
-
-    void arg(trace::Arg a) { span_.arg(std::move(a)); }
-
-  private:
-    struct ClockSync
-    {
-        explicit ClockSync(Soc &soc)
-        {
-            trace::setSimTime(soc.eventQueue().now());
-        }
-    };
-
-    ClockSync sync_; ///< Must precede span_: syncs the clock it reads.
-    Soc &soc_;
-    trace::Span span_;
-    std::string metric_;
-    std::chrono::steady_clock::time_point t0_;
-};
 
 /**
  * The brown-out detector: freeze the clock while the rail sits below
@@ -240,7 +198,7 @@ StaticExtractAttack::execute()
     if (config_.target == ExtractTarget::Iram && !soc_.iramArray())
         fatal("StaticExtractAttack: this platform has no iRAM");
 
-    StepScope scope(soc_, "attack.static_extract");
+    StepScope scope(soc_, telemetry::Phase::StaticExtract);
     scope.arg({"target", toString(config_.target)});
     scope.arg({"depth_v", config_.depth.volts()});
     scope.arg({"hold_s", config_.hold.seconds()});

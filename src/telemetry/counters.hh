@@ -34,11 +34,15 @@
  * did, on which code path) and are explicitly **non-canonical**: they
  * never appear in trace files or campaign JSON/CSV records, only in
  * the live /metrics + heartbeat surfaces. See docs/TELEMETRY.md.
+ *
+ * The per-phase wall-clock tallies below are kept apart from the
+ * counter blocks, whose values are clock-free.
  */
 
 #ifndef VOLTBOOT_TELEMETRY_COUNTERS_HH
 #define VOLTBOOT_TELEMETRY_COUNTERS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 
@@ -134,6 +138,51 @@ drainHashStats()
         add(Counter::HashLanes, h.lanes);
         h = {};
     }
+}
+
+/** The timed attack steps. A phase's name is its trace span name and,
+ * after `core.wall_s.`, its histogram name. */
+enum class Phase : unsigned
+{
+    Steps12Probe,
+    Step3PowerCycle,
+    Step4Extract,
+    ColdBootPowerCycle,
+    Glitch,
+    StaticExtract,
+    kCount
+};
+
+constexpr unsigned kPhaseCount = static_cast<unsigned>(Phase::kCount);
+
+/** Dotted name of @p p, e.g. "attack.step4_extract". */
+inline const char *
+phaseName(Phase p)
+{
+    static constexpr const char *kNames[kPhaseCount] = {
+        "attack.steps12_probe", "attack.step3_power_cycle",
+        "attack.step4_extract", "coldboot.power_cycle",
+        "attack.glitch",        "attack.static_extract"};
+    return kNames[static_cast<unsigned>(p)];
+}
+
+/** Wall-clock nanoseconds per phase. */
+using PhaseTimes = std::array<uint64_t, kPhaseCount>;
+
+/** This thread's time in each phase so far: plain tallies like
+ * tl_hash_stats, read only by the owning thread as a difference around
+ * a unit of work. */
+inline thread_local PhaseTimes tl_phase_times{};
+
+/** Seconds this thread spent in each phase since tl_phase_times read
+ * @p before. */
+inline std::array<double, kPhaseCount>
+phaseSecondsSince(const PhaseTimes &before)
+{
+    std::array<double, kPhaseCount> s{};
+    for (unsigned p = 0; p < kPhaseCount; ++p)
+        s[p] = static_cast<double>(tl_phase_times[p] - before[p]) * 1e-9;
+    return s;
 }
 
 /** Plain-value sum over every block ever handed out (live + retired

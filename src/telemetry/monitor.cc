@@ -14,6 +14,9 @@ namespace telemetry
 namespace
 {
 
+/** EWMA smoothing factor for the trial rate (per sample). */
+constexpr double kRateAlpha = 0.3;
+
 uint64_t
 unixMillis()
 {
@@ -135,9 +138,8 @@ CampaignMonitor::sample(bool final_sample)
         snap.trials_per_sec_ewma =
             prev.seq == 0
                 ? snap.trials_per_sec
-                : config_.rate_alpha * snap.trials_per_sec +
-                      (1.0 - config_.rate_alpha) *
-                          prev.trials_per_sec_ewma;
+                : kRateAlpha * snap.trials_per_sec +
+                      (1.0 - kRateAlpha) * prev.trials_per_sec_ewma;
         const uint64_t skipped = now.get(Counter::TrialsSkipped);
         if (config_.total_trials > done + skipped &&
             snap.trials_per_sec_ewma > 0.0)
@@ -159,6 +161,8 @@ CampaignMonitor::sample(bool final_sample)
             std::fclose(f);
         }
     }
+    if (config_.on_sample)
+        config_.on_sample(snap);
 }
 
 TelemetrySnapshot
@@ -289,6 +293,22 @@ CampaignMonitor::heartbeatLine(const TelemetrySnapshot &snap) const
            trace::jsonNumber(snap.trials_per_sec_ewma);
     out += ", \"eta_s\": " + trace::jsonNumber(snap.eta_s) + "}}\n";
     return out;
+}
+
+void
+addPhaseHistograms(trace::MetricsSnapshot &out,
+                   const std::vector<std::array<double, kPhaseCount>> &runs)
+{
+    for (unsigned p = 0; p < kPhaseCount; ++p) {
+        std::vector<double> samples;
+        for (const std::array<double, kPhaseCount> &run : runs)
+            if (run[p] > 0.0)
+                samples.push_back(run[p]);
+        if (!samples.empty())
+            out.histograms[std::string("core.wall_s.") +
+                           phaseName(static_cast<Phase>(p))] =
+                trace::summarize(std::move(samples));
+    }
 }
 
 } // namespace telemetry

@@ -3,8 +3,9 @@
  * The campaign telemetry monitor: a sampler thread that aggregates the
  * lock-free worker counters into periodic snapshots, derives the
  * progress model (trial rate, EWMA, ETA, per-axis grid completion),
- * appends the heartbeat JSONL stream, and hands mutex-guarded copies
- * to the /metrics + /progress endpoints.
+ * appends the heartbeat JSONL stream, hands mutex-guarded copies to
+ * the /metrics + /progress endpoints, and passes each sample to an
+ * optional callback (the CLI's progress line and progress events).
  *
  * Layering: the monitor knows nothing about Campaign or SweepGrid —
  * the caller describes the sweep as a total trial count plus an
@@ -25,10 +26,12 @@
 #ifndef VOLTBOOT_TELEMETRY_MONITOR_HH
 #define VOLTBOOT_TELEMETRY_MONITOR_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -50,6 +53,18 @@ struct AxisDesc
     uint64_t size = 1;
 };
 
+/** One aggregated sample of the campaign's counters + rate model. */
+struct TelemetrySnapshot
+{
+    uint64_t seq = 0;        ///< Sample number, starting at 1.
+    bool final_sample = false; ///< Emitted by stop(), not the timer.
+    double elapsed_s = 0.0;  ///< Wall seconds since start().
+    CounterTotals totals;    ///< Relaxed sum over every worker block.
+    double trials_per_sec = 0.0;      ///< Rate over the last interval.
+    double trials_per_sec_ewma = 0.0; ///< Smoothed rate.
+    double eta_s = 0.0; ///< Remaining / EWMA; 0 when unknowable.
+};
+
 /** Monitor knobs. */
 struct MonitorConfig
 {
@@ -64,20 +79,10 @@ struct MonitorConfig
     std::vector<AxisDesc> axes;
     /** Append one heartbeat JSONL line per sample; empty = off. */
     std::string heartbeat_path;
-    /** EWMA smoothing factor for the trial rate (per sample). */
-    double rate_alpha = 0.3;
-};
-
-/** One aggregated sample of the campaign's counters + rate model. */
-struct TelemetrySnapshot
-{
-    uint64_t seq = 0;        ///< Sample number, starting at 1.
-    bool final_sample = false; ///< Emitted by stop(), not the timer.
-    double elapsed_s = 0.0;  ///< Wall seconds since start().
-    CounterTotals totals;    ///< Relaxed sum over every worker block.
-    double trials_per_sec = 0.0;      ///< Rate over the last interval.
-    double trials_per_sec_ewma = 0.0; ///< Smoothed rate.
-    double eta_s = 0.0; ///< Remaining / EWMA; 0 when unknowable.
+    /** Called with every sample, the final one included: from the
+     * sampler thread, then from the thread calling stop(). Calls never
+     * overlap. Unset = off. */
+    std::function<void(const TelemetrySnapshot &)> on_sample;
 };
 
 /**
@@ -103,7 +108,7 @@ class CampaignMonitor
     TelemetrySnapshot latest() const;
 
     /**
-     * The latest sample as a metrics registry snapshot — counters
+     * The latest sample as a metrics snapshot — counters
      * named `telemetry.<counter>`, the rate model as gauges — which
      * report::toPrometheus renders directly; this is the /metrics
      * payload.
@@ -121,7 +126,8 @@ class CampaignMonitor
 
   private:
     void sampleLoop();
-    /** Take a sample, update the rate model, append the heartbeat. */
+    /** Take a sample, update the rate model, append the heartbeat,
+     * then hand the sample to on_sample. */
     void sample(bool final_sample);
 
     MonitorConfig config_;
@@ -133,6 +139,12 @@ class CampaignMonitor
     std::chrono::steady_clock::time_point t0_;
     TelemetrySnapshot latest_;
 };
+
+/** Add to @p out one exact `core.wall_s.<phase>` histogram per phase:
+ * one sample per run in @p runs that entered it (its seconds there). */
+void addPhaseHistograms(
+    trace::MetricsSnapshot &out,
+    const std::vector<std::array<double, kPhaseCount>> &runs);
 
 } // namespace telemetry
 } // namespace voltboot

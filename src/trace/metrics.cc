@@ -1,6 +1,7 @@
 #include "trace/metrics.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "trace/trace.hh"
 
@@ -9,94 +10,28 @@ namespace voltboot
 namespace trace
 {
 
-void
-Metrics::add(const std::string &name, double delta)
+HistogramSummary
+summarize(std::vector<double> samples)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_[name] += delta;
-}
-
-void
-Metrics::set(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    gauges_[name] = value;
-}
-
-void
-Metrics::observe(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Reservoir &r = histograms_[name];
-    if (r.total == 0) {
-        r.min = value;
-        r.max = value;
-    } else {
-        r.min = std::min(r.min, value);
-        r.max = std::max(r.max, value);
-    }
-    ++r.total;
-    r.sum += value;
-    r.samples.push_back(value);
-    if (r.samples.size() >= kHistogramSampleCap) {
-        // Decimate deterministically: sort, keep every second sample.
-        // Uniform in rank space, so the percentile estimates move by
-        // at most one rank's worth of value.
-        std::sort(r.samples.begin(), r.samples.end());
-        size_t kept = 0;
-        for (size_t i = 0; i < r.samples.size(); i += 2)
-            r.samples[kept++] = r.samples[i];
-        r.samples.resize(kept);
-    }
-}
-
-namespace
-{
-
-/** Nearest-rank percentile of an already-sorted sample vector. */
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    const size_t n = sorted.size();
-    const size_t rank = std::min(
-        n - 1, static_cast<size_t>(q * static_cast<double>(n)));
-    return sorted[rank];
-}
-
-} // namespace
-
-MetricsSnapshot
-Metrics::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    MetricsSnapshot snap;
-    snap.counters = counters_;
-    snap.gauges = gauges_;
-    for (const auto &[name, r] : histograms_) {
-        if (r.total == 0)
-            continue;
-        std::vector<double> sorted = r.samples;
-        std::sort(sorted.begin(), sorted.end());
-        HistogramSummary h;
-        // Count, mean, min and max come from the exact running
-        // moments; only the percentiles read the (possibly decimated)
-        // retained set.
-        h.count = r.total;
-        h.mean = r.sum / static_cast<double>(r.total);
-        h.min = r.min;
-        h.max = r.max;
-        h.p50 = percentile(sorted, 0.50);
-        h.p90 = percentile(sorted, 0.90);
-        h.p99 = percentile(sorted, 0.99);
-        snap.histograms[name] = h;
-    }
-    return snap;
-}
-
-std::string
-Metrics::toJson() const
-{
-    return snapshot().toJson();
+    HistogramSummary h;
+    if (samples.empty())
+        return h;
+    std::sort(samples.begin(), samples.end());
+    const size_t n = samples.size();
+    // Nearest rank: the sample at floor(q * n), clamped to the last.
+    auto percentile = [&](double q) {
+        return samples[std::min(
+            n - 1, static_cast<size_t>(q * static_cast<double>(n)))];
+    };
+    h.count = n;
+    h.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
+             static_cast<double>(n);
+    h.min = samples.front();
+    h.max = samples.back();
+    h.p50 = percentile(0.50);
+    h.p90 = percentile(0.90);
+    h.p99 = percentile(0.99);
+    return h;
 }
 
 std::string

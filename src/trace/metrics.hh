@@ -1,22 +1,12 @@
 /**
  * @file
- * A small metrics registry: counters, gauges and histograms.
+ * The metrics value type: counters, gauges and histogram summaries.
  *
- * Metrics complement the event trace (trace/trace.hh): where the trace
- * answers "what happened, when, in simulation time", metrics aggregate
- * *cost* — wall-clock durations, queue grabs, trial counts — and are
- * therefore explicitly **non-canonical**: two runs of the same campaign
- * produce the same trace bytes but different metric values. Canonical
- * outputs (campaign JSON/CSV records, trace files) must never embed a
- * metrics snapshot; CampaignResult keeps its snapshot in the opt-in
- * timing section for exactly this reason.
- *
- * The registry is thread-safe (one mutex; registration and observation
- * are far off any per-cell hot path) so a campaign's worker pool can
- * share one registry. Snapshots are order-independent: counters sum,
- * gauges keep their last value, histogram summaries are computed from
- * the sorted sample set — so a snapshot of deterministic observations
- * is itself deterministic regardless of thread schedule.
+ * Where the trace answers "what happened, when, in simulation time",
+ * metrics report *cost* — wall-clock durations, queue grabs — and are
+ * therefore **non-canonical**: measured by the telemetry layer and the
+ * campaign, and only ever rendered in opt-in output (the `timing`
+ * section, `--metrics`, /metrics), never in records or trace files.
  */
 
 #ifndef VOLTBOOT_TRACE_METRICS_HH
@@ -24,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,11 +35,12 @@ struct HistogramSummary
 };
 
 /**
- * A plain-value copy of a registry's state at one instant.
+ * Named counters, gauges and histogram summaries, keyed by dotted
+ * names (e.g. "campaign.trial_wall_s").
  *
- * Copyable and comparable; CampaignResult embeds one so sweep outputs
- * can carry per-trial timing percentiles without holding a live
- * (mutex-owning) registry.
+ * A plain value: CampaignResult embeds one so sweep outputs can carry
+ * per-trial timing percentiles, and the telemetry monitor builds one
+ * per /metrics scrape.
  */
 struct MetricsSnapshot
 {
@@ -72,59 +62,12 @@ struct MetricsSnapshot
     std::string toJson(int indent = 0) const;
 };
 
-/** Counters / gauges / histograms, keyed by dotted names
- * (e.g. "campaign.trial_wall_s"). */
-class Metrics
-{
-  public:
-    /**
-     * Per-histogram retained-sample bound.
-     *
-     * observe() keeps raw samples so snapshots can report order
-     * statistics, but an unbounded campaign must not grow memory
-     * without bound. When a histogram reaches this many retained
-     * samples it is decimated: the retained set is sorted and every
-     * second sample kept — deterministic (no RNG), and uniform across
-     * the distribution, so percentiles stay stable at the cap.
-     * `count`, `mean`, `min` and `max` are tracked exactly regardless;
-     * only the percentile estimates coarsen past the cap.
-     */
-    static constexpr size_t kHistogramSampleCap = 4096;
-
-    /** Add @p delta to counter @p name (created at zero). */
-    void add(const std::string &name, double delta = 1.0);
-
-    /** Set gauge @p name to @p value. */
-    void set(const std::string &name, double value);
-
-    /** Record one sample into histogram @p name. At most
-     * kHistogramSampleCap samples are retained per histogram (see
-     * above); intended for per-trial/per-step cardinality, not
-     * per-cell. */
-    void observe(const std::string &name, double value);
-
-    /** Copy out the current state. */
-    MetricsSnapshot snapshot() const;
-
-    /** snapshot().toJson() convenience. */
-    std::string toJson() const;
-
-  private:
-    /** One histogram's retained samples plus exact running moments. */
-    struct Reservoir
-    {
-        std::vector<double> samples; ///< Retained (possibly decimated).
-        uint64_t total = 0;          ///< Exact observation count.
-        double sum = 0.0;            ///< Exact sum of all observations.
-        double min = 0.0;            ///< Exact; valid when total > 0.
-        double max = 0.0;            ///< Exact; valid when total > 0.
-    };
-
-    mutable std::mutex mutex_;
-    std::map<std::string, double> counters_;
-    std::map<std::string, double> gauges_;
-    std::map<std::string, Reservoir> histograms_;
-};
+/**
+ * Exact order statistics of @p samples: count, mean, min, max and
+ * nearest-rank p50/p90/p99 (all zero when empty). Independent of the
+ * samples' order.
+ */
+HistogramSummary summarize(std::vector<double> samples);
 
 } // namespace trace
 } // namespace voltboot

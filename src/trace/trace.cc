@@ -179,7 +179,6 @@ struct ThreadTracer
 {
     TraceSink *sink = nullptr;
     Seconds sim_now{0.0};
-    Metrics *metrics = nullptr;
 };
 
 ThreadTracer &
@@ -216,18 +215,6 @@ setSimTime(Seconds now)
     tracer().sim_now = now;
 }
 
-Metrics *
-metricsRegistry()
-{
-    return tracer().metrics;
-}
-
-void
-setMetricsRegistry(Metrics *metrics)
-{
-    tracer().metrics = metrics;
-}
-
 Scope::Scope(TraceSink &sink)
     : prev_sink_(tracer().sink), prev_time_(tracer().sim_now)
 {
@@ -241,16 +228,6 @@ Scope::~Scope()
         tracer().sink->flush();
     tracer().sink = prev_sink_;
     tracer().sim_now = prev_time_;
-}
-
-MetricsScope::MetricsScope(Metrics *metrics) : prev_(tracer().metrics)
-{
-    tracer().metrics = metrics;
-}
-
-MetricsScope::~MetricsScope()
-{
-    tracer().metrics = prev_;
 }
 
 void

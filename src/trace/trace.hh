@@ -20,7 +20,7 @@
  *    thread-local, so a trial's trace is a pure function of its inputs:
  *    a campaign traced at `--jobs 1` and `--jobs 4` produces
  *    byte-identical per-trial trace files. Wall-clock cost lives in the
- *    separate Metrics registry (trace/metrics.hh), which is explicitly
+ *    telemetry layer (telemetry/counters.hh), which is explicitly
  *    non-canonical.
  *  - **Two wire formats.** JSONL (one self-describing object per line,
  *    greppable, streamable) and the Chrome trace-event format
@@ -174,8 +174,8 @@ std::string toChromeTrace(std::span<const TraceEvent> events);
 
 /** @name Per-thread tracer state
  *
- * The installed sink, the simulation clock mirror and the metrics
- * registry are all thread-local, which is what keeps campaign workers
+ * The installed sink and the simulation clock mirror are both
+ * thread-local, which is what keeps campaign workers
  * (one hermetic trial per thread at a time) from interleaving events.
  */
 ///@{
@@ -192,10 +192,6 @@ void emit(TraceEvent event);
  * clock (e.g. MemoryArray) stamp events with it. */
 Seconds simTime();
 void setSimTime(Seconds now);
-
-/** The thread's Metrics registry, or nullptr. See trace/metrics.hh. */
-class Metrics *metricsRegistry();
-void setMetricsRegistry(class Metrics *metrics);
 
 /**
  * RAII installation of a sink on the current thread.
@@ -216,19 +212,6 @@ class Scope
   private:
     TraceSink *prev_sink_;
     Seconds prev_time_;
-};
-
-/** RAII installation of a Metrics registry on the current thread. */
-class MetricsScope
-{
-  public:
-    explicit MetricsScope(class Metrics *metrics);
-    ~MetricsScope();
-    MetricsScope(const MetricsScope &) = delete;
-    MetricsScope &operator=(const MetricsScope &) = delete;
-
-  private:
-    class Metrics *prev_;
 };
 
 /** Emit an Instant event at the current simulation time. */

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "campaign/campaign.hh"
@@ -19,6 +21,7 @@
 #include "campaign/trial_runner.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "telemetry/monitor.hh"
 
 using namespace voltboot;
 
@@ -233,24 +236,55 @@ TEST(Campaign, AbortSkipsRemainingTrials)
     EXPECT_EQ(result.records[63].status, TrialStatus::Skipped);
 }
 
-TEST(Campaign, ProgressCallbackReportsMonotonically)
+TEST(Campaign, MonitorSamplesReportProgressMonotonically)
 {
+    // Progress comes from the telemetry monitor's samples: done counts
+    // completed plus skipped trials, and the final sample (taken by
+    // stop()) accounts for every trial, aborted ones included.
     const SweepGrid grid = SweepGrid::parse("seeds=40");
     CampaignConfig cfg;
     cfg.jobs = 4;
-    cfg.runner = fakeTrial;
-    cfg.progress_every = 10;
-    std::atomic<uint64_t> last{0};
-    std::atomic<bool> saw_final{false};
-    cfg.progress = [&](const CampaignProgress &p) {
-        EXPECT_LE(p.done, p.total);
-        EXPECT_GE(p.done, last.load());
-        last.store(p.done);
-        if (p.done == p.total)
-            saw_final.store(true);
+    cfg.chunk = 1;
+    std::atomic<Campaign *> self{nullptr};
+    cfg.runner = [&](const TrialSpec &spec, uint64_t seed) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (spec.index == 24)
+            self.load()->requestAbort();
+        return fakeTrial(spec, seed);
     };
-    Campaign(grid, cfg).run();
-    EXPECT_TRUE(saw_final.load());
+
+    telemetry::resetCounters();
+    telemetry::MonitorConfig mcfg;
+    mcfg.interval_s = 0.002;
+    mcfg.total_trials = grid.size();
+    // Calls never overlap, so plain state is enough.
+    uint64_t last = 0;
+    uint64_t samples = 0;
+    bool saw_final = false;
+    mcfg.on_sample = [&](const telemetry::TelemetrySnapshot &snap) {
+        const uint64_t done =
+            snap.totals.get(telemetry::Counter::TrialsCompleted) +
+            snap.totals.get(telemetry::Counter::TrialsSkipped);
+        EXPECT_LE(done, grid.size());
+        EXPECT_GE(done, last);
+        last = done;
+        ++samples;
+        if (snap.final_sample) {
+            EXPECT_EQ(done, grid.size());
+            saw_final = true;
+        }
+    };
+    telemetry::CampaignMonitor monitor(mcfg);
+    monitor.start();
+    Campaign campaign(grid, cfg);
+    self.store(&campaign);
+    const CampaignSummary s = campaign.run().summary();
+    monitor.stop();
+
+    EXPECT_TRUE(saw_final);
+    EXPECT_GE(samples, 1u);
+    EXPECT_GT(s.skipped, 0u);
+    EXPECT_EQ(s.ok + s.skipped, grid.size());
 }
 
 TEST(Campaign, CsvHasHeaderAndOneRowPerTrial)
@@ -278,6 +312,44 @@ TEST(Campaign, TimingSectionIsOptIn)
 }
 
 // --- Real-trial coverage (each trial builds a full Soc; keep small) ---
+
+TEST(Campaign, TimingMetricsHoldOnePhaseSamplePerTrial)
+{
+    // Each family's sweep carries exactly the core.wall_s histograms
+    // of the steps it runs, each with one sample per trial.
+    const std::map<std::string, std::set<std::string>> expected = {
+        {"voltboot",
+         {"attack.steps12_probe", "attack.step3_power_cycle",
+          "attack.step4_extract"}},
+        {"coldboot", {"coldboot.power_cycle", "attack.step4_extract"}},
+        {"glitch", {"attack.glitch"}},
+        {"static-extract", {"attack.static_extract"}},
+        {"voltage-coupling", {}},
+        {"key-recovery", {"coldboot.power_cycle", "attack.step4_extract"}},
+    };
+    for (const auto &[family, phases] : expected) {
+        SCOPED_TRACE(family);
+        const SweepGrid grid =
+            SweepGrid::parse("board=pi4;attack=" + family + ";seeds=2");
+        CampaignConfig cfg;
+        cfg.jobs = 2;
+        const CampaignResult result = Campaign(grid, cfg).run();
+        const auto &histograms = result.metrics.histograms;
+
+        std::set<std::string> seen;
+        for (const auto &[name, h] : histograms) {
+            const std::string prefix = "core.wall_s.";
+            if (name.rfind(prefix, 0) != 0)
+                continue;
+            seen.insert(name.substr(prefix.size()));
+            EXPECT_EQ(h.count, grid.size()) << name;
+        }
+        EXPECT_EQ(seen, phases);
+        ASSERT_EQ(histograms.count("campaign.trial_wall_s"), 1u);
+        EXPECT_EQ(histograms.at("campaign.trial_wall_s").count,
+                  grid.size());
+    }
+}
 
 TEST(TrialRunner, VoltBootDCacheIsExact)
 {

@@ -6,11 +6,10 @@
  * keys), the JSONL trace reader (byte-identical round trip including
  * nan/inf-as-null args, malformed-line diagnostics), span aggregation,
  * the trace invariant checker (every valid board/target/attack combo
- * passes; each invariant fires on a crafted violation), the metrics
- * reservoir cap, the power layer's voltage Counter events, Prometheus
- * exposition, campaign report generation (byte-deterministic across
- * job counts, baseline regression detection), and the voltboot_cli
- * `report` subcommand's exit-code conventions end to end.
+ * passes; each invariant fires on a crafted violation), the power
+ * layer's voltage Counter events, Prometheus exposition, campaign
+ * report generation (byte-deterministic across job counts), and the
+ * voltboot_cli `report` subcommand's exit-code conventions end to end.
  */
 
 #include <gtest/gtest.h>
@@ -631,48 +630,6 @@ TEST(Invariants, RealGlitchTrialTracePasses)
         << report::renderViolations(violations);
 }
 
-// --- metrics reservoir cap -------------------------------------------
-
-TEST(MetricsCap, ExactMomentsAndStablePercentilesAtCap)
-{
-    trace::Metrics m;
-    const size_t n = 3 * trace::Metrics::kHistogramSampleCap;
-    // Feed the values 0..n-1 exactly once each, in a stride-permuted
-    // order so the stream is stationary: decimation keeps a
-    // recency-weighted subset, which is only a fair sample of the
-    // distribution when the distribution does not drift over the
-    // stream. (A deliberately drifting stream is exactly the case
-    // where only count/mean/min/max stay exact.)
-    const size_t stride = 7919; // prime, coprime to n = 3 * 2^12
-    for (size_t i = 0; i < n; ++i)
-        m.observe("h", static_cast<double>(i * stride % n));
-
-    const trace::HistogramSummary h = m.snapshot().histograms.at("h");
-    // Count, sum-derived mean, min and max are exact past the cap.
-    EXPECT_EQ(h.count, n);
-    EXPECT_DOUBLE_EQ(h.min, 0.0);
-    EXPECT_DOUBLE_EQ(h.max, static_cast<double>(n - 1));
-    EXPECT_DOUBLE_EQ(h.mean, static_cast<double>(n - 1) / 2.0);
-    // Percentiles come from the decimated reservoir but stay within a
-    // couple percent of the true order statistics.
-    const double range = static_cast<double>(n);
-    EXPECT_NEAR(h.p50, 0.50 * range, 0.02 * range);
-    EXPECT_NEAR(h.p90, 0.90 * range, 0.02 * range);
-    EXPECT_NEAR(h.p99, 0.99 * range, 0.02 * range);
-}
-
-TEST(MetricsCap, UnderCapRemainsExact)
-{
-    trace::Metrics m;
-    for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
-        m.observe("h", v);
-    const trace::HistogramSummary h = m.snapshot().histograms.at("h");
-    EXPECT_EQ(h.count, 5u);
-    EXPECT_DOUBLE_EQ(h.mean, 3.0);
-    EXPECT_DOUBLE_EQ(h.p50, 3.0);
-    EXPECT_DOUBLE_EQ(h.max, 5.0);
-}
-
 // --- power layer voltage counters ------------------------------------
 
 TEST(PowerCounters, DomainEmitsVoltageSamples)
@@ -1145,20 +1102,6 @@ TEST(CampaignJson, RejectsSchemaViolations)
         report::JsonParseError);
 }
 
-TEST(CampaignJson, ParsesBaseline)
-{
-    const report::Baseline base = report::parseBaselineJson(
-        R"({"bench": "campaign_throughput", "trials": 64, "runs": [)"
-        R"({"jobs": 1, "wall_seconds": 8.0, "trials_per_second": 8.0},)"
-        R"({"jobs": 4, "wall_seconds": 2.0, "trials_per_second": 32.0})"
-        R"(]})");
-    EXPECT_EQ(base.bench, "campaign_throughput");
-    EXPECT_DOUBLE_EQ(base.bestTrialsPerSecond(), 32.0);
-    ASSERT_NE(base.runForJobs(4), nullptr);
-    EXPECT_DOUBLE_EQ(base.runForJobs(4)->trials_per_second, 32.0);
-    EXPECT_EQ(base.runForJobs(2), nullptr);
-}
-
 // --- campaign report -------------------------------------------------
 
 TEST(CampaignReport, ByteDeterministicAcrossJobCounts)
@@ -1197,36 +1140,6 @@ TEST(CampaignReport, ByteDeterministicAcrossJobCounts)
     EXPECT_NE(md1.find("invariant check: PASS"), std::string::npos);
     // Canonical sweeps must not leak wall-clock content.
     EXPECT_EQ(md1.find("## Wall clock"), std::string::npos);
-}
-
-TEST(CampaignReport, FlagsThroughputRegression)
-{
-    report::SweepDoc sweep;
-    sweep.schema = "voltboot-campaign-v1";
-    sweep.grid = "g";
-    sweep.has_timing = true;
-    sweep.jobs = 4;
-    sweep.wall_seconds = 10.0;
-    sweep.trials_per_second = 10.0;
-
-    report::Baseline base;
-    base.bench = "campaign_throughput";
-    base.runs.push_back({4, 1.0, 1000.0});
-
-    report::CampaignReportOptions opts;
-    opts.baseline = &base;
-    opts.regression_threshold = 0.5;
-    const report::CampaignReport rep =
-        report::buildCampaignReport(sweep, opts);
-    ASSERT_EQ(rep.problems.size(), 1u);
-    EXPECT_NE(rep.problems[0].find("throughput_regression"),
-              std::string::npos);
-    EXPECT_NE(rep.markdown.find("**REGRESSION**"), std::string::npos);
-
-    // Within threshold: no problem.
-    base.runs[0].trials_per_second = 15.0;
-    EXPECT_TRUE(report::buildCampaignReport(sweep, opts)
-                    .problems.empty());
 }
 
 TEST(CampaignReport, MissingTraceIsAProblemUnderCheck)
@@ -1293,6 +1206,10 @@ TEST(Cli, ReportUsageErrorsExitTwo)
     EXPECT_EQ(runCli("attack --retention-path reference", dir).exit_code,
               2);
     EXPECT_EQ(runCli("attack --temp nan", dir).exit_code, 2);
+    // There is no throughput baseline to compare against.
+    EXPECT_EQ(runCli("report campaign s.json --baseline b.json", dir)
+                  .exit_code,
+              2);
     // A readable usage hint lands on stderr.
     EXPECT_NE(runCli("report", dir).err.find("usage:"),
               std::string::npos);
@@ -1397,6 +1314,21 @@ TEST(Cli, ReportCampaignEndToEnd)
         dir);
     EXPECT_EQ(metrics.exit_code, 0) << metrics.err;
     EXPECT_NE(metrics.out.find("\"counters\""), std::string::npos);
+}
+
+TEST(Cli, AttackMetricsReportStepWallTime)
+{
+    const std::string dir = tempDir("cli_attack_metrics");
+    const CliResult r =
+        runCli("attack --board pi4 --target dcache --metrics -", dir);
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    // One sample per step: this attack's total time in it.
+    EXPECT_NE(r.out.find("\"core.wall_s.attack.step3_power_cycle\": "
+                         "{\"count\": 1,"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.out.find("core.wall_s.coldboot.power_cycle"),
+              std::string::npos);
 }
 
 TEST(Cli, SweepListAxesEnumeratesEveryAxis)

@@ -2,7 +2,7 @@
  * @file
  * Observability-layer tests: Arg/JSON rendering, sink installation and
  * nesting, event ordering, JSONL and Chrome trace-event serialization,
- * the off-path being a no-op, metrics snapshot determinism, and the
+ * the off-path being a no-op, exact metric summaries, and the
  * big determinism contract — a traced attack emits the documented
  * events and a traced campaign produces byte-identical per-trial files
  * at any job count.
@@ -27,6 +27,7 @@
 #include "core/attack.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
+#include "telemetry/counters.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
@@ -87,7 +88,6 @@ TEST(TraceOff, DisabledByDefaultAndEmitIsNoOp)
     trace::Span span("core", "inert");
     span.arg({"k", 1});
     span.end();
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
 }
 
 // --- scopes, ordering, spans -----------------------------------------
@@ -241,57 +241,90 @@ TEST(TraceSerialize, JsonlFileSinkMatchesSerializer)
 
 TEST(Metrics, CountersGaugesHistograms)
 {
-    trace::Metrics m;
-    m.add("runs");
-    m.add("runs", 2.0);
-    m.set("jobs", 4.0);
-    m.set("jobs", 2.0); // last write wins
-    for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
-        m.observe("wall_s", v);
+    trace::MetricsSnapshot s;
+    s.counters["runs"] = 3.0;
+    s.gauges["jobs"] = 2.0;
+    s.histograms["wall_s"] = trace::summarize({5.0, 1.0, 3.0, 2.0, 4.0});
 
-    const trace::MetricsSnapshot s = m.snapshot();
-    EXPECT_DOUBLE_EQ(s.counters.at("runs"), 3.0);
-    EXPECT_DOUBLE_EQ(s.gauges.at("jobs"), 2.0);
     const trace::HistogramSummary &h = s.histograms.at("wall_s");
     EXPECT_EQ(h.count, 5u);
     EXPECT_DOUBLE_EQ(h.mean, 3.0);
     EXPECT_DOUBLE_EQ(h.min, 1.0);
     EXPECT_DOUBLE_EQ(h.max, 5.0);
     EXPECT_DOUBLE_EQ(h.p50, 3.0);
+    const std::string json = s.toJson();
+    EXPECT_NE(json.find("\"runs\": 3"), std::string::npos);
+    EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"wall_s\": {\"count\": 5"), std::string::npos);
 }
 
 TEST(Metrics, SnapshotIsObservationOrderIndependent)
 {
-    trace::Metrics a, b;
     const std::vector<double> samples = {0.25, 4.0, 1.5, 0.75, 2.0};
-    for (double v : samples)
-        a.observe("h", v);
-    for (auto it = samples.rbegin(); it != samples.rend(); ++it)
-        b.observe("h", *it);
-    a.add("c", 1.0);
-    a.add("c", 2.0);
-    b.add("c", 2.0);
-    b.add("c", 1.0);
+    trace::MetricsSnapshot a, b;
+    a.histograms["h"] = trace::summarize(samples);
+    b.histograms["h"] = trace::summarize(
+        std::vector<double>(samples.rbegin(), samples.rend()));
     EXPECT_EQ(a.toJson(), b.toJson());
 }
 
 TEST(Metrics, EmptySnapshotReportsEmpty)
 {
-    trace::Metrics m;
-    EXPECT_TRUE(m.snapshot().empty());
-    m.add("c");
-    EXPECT_FALSE(m.snapshot().empty());
+    trace::MetricsSnapshot m;
+    EXPECT_TRUE(m.empty());
+    m.counters["c"] = 1.0;
+    EXPECT_FALSE(m.empty());
 }
 
-TEST(Metrics, ScopeInstallsAndRestores)
+// --- summarize: exact nearest-rank percentiles -----------------------
+
+TEST(Summarize, SingleSample)
 {
-    trace::Metrics m;
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
-    {
-        trace::MetricsScope scope(&m);
-        EXPECT_EQ(trace::metricsRegistry(), &m);
-    }
-    EXPECT_EQ(trace::metricsRegistry(), nullptr);
+    const trace::HistogramSummary h = trace::summarize({0.125});
+    EXPECT_EQ(h.count, 1u);
+    EXPECT_DOUBLE_EQ(h.mean, 0.125);
+    EXPECT_DOUBLE_EQ(h.min, 0.125);
+    EXPECT_DOUBLE_EQ(h.max, 0.125);
+    EXPECT_DOUBLE_EQ(h.p50, 0.125);
+    EXPECT_DOUBLE_EQ(h.p90, 0.125);
+    EXPECT_DOUBLE_EQ(h.p99, 0.125);
+    EXPECT_EQ(trace::summarize({}).count, 0u);
+}
+
+TEST(Summarize, HandCheckedVector)
+{
+    // Sorted: 1 2 3 5 8 13 21 34 55 89 (n = 10). Nearest rank takes the
+    // sample at floor(q * n): p50 -> [5] = 13, p90 -> [9] = 89,
+    // p99 -> [9] = 89.
+    const trace::HistogramSummary h =
+        trace::summarize({34, 1, 89, 3, 13, 2, 55, 8, 21, 5});
+    EXPECT_EQ(h.count, 10u);
+    EXPECT_DOUBLE_EQ(h.mean, 23.1);
+    EXPECT_DOUBLE_EQ(h.min, 1.0);
+    EXPECT_DOUBLE_EQ(h.max, 89.0);
+    EXPECT_DOUBLE_EQ(h.p50, 13.0);
+    EXPECT_DOUBLE_EQ(h.p90, 89.0);
+    EXPECT_DOUBLE_EQ(h.p99, 89.0);
+}
+
+TEST(Summarize, ExactPastTheOldSampleCap)
+{
+    // 10 000 distinct values, well past the 4096 samples the removed
+    // reservoir retained, fed in a stride-permuted order: every
+    // percentile is the exact order statistic.
+    const size_t n = 10000;
+    const size_t stride = 7919; // prime, coprime to n
+    std::vector<double> samples;
+    for (size_t i = 0; i < n; ++i)
+        samples.push_back(static_cast<double>(i * stride % n));
+    const trace::HistogramSummary h = trace::summarize(samples);
+    EXPECT_EQ(h.count, n);
+    EXPECT_DOUBLE_EQ(h.min, 0.0);
+    EXPECT_DOUBLE_EQ(h.max, static_cast<double>(n - 1));
+    EXPECT_DOUBLE_EQ(h.mean, static_cast<double>(n - 1) / 2.0);
+    EXPECT_DOUBLE_EQ(h.p50, 5000.0);
+    EXPECT_DOUBLE_EQ(h.p90, 9000.0);
+    EXPECT_DOUBLE_EQ(h.p99, 9900.0);
 }
 
 // --- the attack stack emits the documented events --------------------
@@ -299,10 +332,9 @@ TEST(Metrics, ScopeInstallsAndRestores)
 TEST(TraceIntegration, AttackRunEmitsLayerEvents)
 {
     trace::MemoryTraceSink sink;
-    trace::Metrics metrics;
+    const telemetry::PhaseTimes phases_before = telemetry::tl_phase_times;
     {
         trace::Scope scope(sink);
-        trace::MetricsScope metrics_scope(&metrics);
         Soc soc(socConfigFor("pi4"));
         soc.powerOn();
         VoltBootAttack attack(soc);
@@ -336,11 +368,15 @@ TEST(TraceIntegration, AttackRunEmitsLayerEvents)
         last = e.ts.seconds();
     }
 
-    // Wall-clock step costs landed in the metrics registry, not the
-    // trace.
-    const trace::MetricsSnapshot s = metrics.snapshot();
-    EXPECT_EQ(s.histograms.count("core.wall_s.attack.step3_power_cycle"),
-              1u);
+    // Wall-clock step costs landed in the telemetry phase
+    // accumulators, not the trace.
+    const auto phase_wall_s = telemetry::phaseSecondsSince(phases_before);
+    EXPECT_GT(phase_wall_s[static_cast<unsigned>(
+                  telemetry::Phase::Step3PowerCycle)],
+              0.0);
+    EXPECT_EQ(phase_wall_s[static_cast<unsigned>(
+                  telemetry::Phase::ColdBootPowerCycle)],
+              0.0);
 
     // The same events load as a Chrome trace document.
     const std::string chrome = trace::toChromeTrace(sink.events());

@@ -5,7 +5,7 @@ Appends one JSONL entry per invocation to a history file, built from
 every ``BENCH_*.json`` artefact in the given directory: each numeric
 ``*_per_second`` field anywhere in an artefact becomes one keyed metric
 (key = file stem + JSON path, e.g.
-``BENCH_campaign/runs[1]/trials_per_second``). The new sample is then
+``BENCH_keyfind/jobs[1]/pipeline_offsets_per_second``). The new sample is then
 compared against the rolling median of the last ``--window`` history
 entries per metric: any metric that drops below
 ``(1 - threshold) * median`` fails the run.

@@ -210,10 +210,11 @@ parse(int argc, char **argv, int first)
 }
 
 /**
- * Run @p body under this thread's trace/metrics scopes when any of the
+ * Run @p body under this thread's trace scope when any of the
  * observability flags were given, then write the requested files. The
  * trace files carry only simulation-time stamps and are deterministic;
- * the metrics file is wall-clock derived and is not.
+ * the metrics file (each attack step's wall time, from the telemetry
+ * phase accumulators) is wall-clock derived and is not.
  */
 int
 withObservability(const Options &o, const std::function<int()> &body)
@@ -222,11 +223,10 @@ withObservability(const Options &o, const std::function<int()> &body)
         return body();
 
     trace::MemoryTraceSink sink;
-    trace::Metrics metrics;
+    const telemetry::PhaseTimes phases_before = telemetry::tl_phase_times;
     int rc;
     {
         trace::Scope scope(sink);
-        trace::MetricsScope metrics_scope(&metrics);
         rc = body();
     }
     if (!o.trace.empty()) {
@@ -239,8 +239,12 @@ withObservability(const Options &o, const std::function<int()> &body)
                                   trace::toChromeTrace(sink.events()));
         std::cout << "wrote " << o.trace_chrome << "\n";
     }
-    if (!o.metrics.empty())
-        writeOutput(o.metrics, metrics.snapshot().toJson() + "\n");
+    if (!o.metrics.empty()) {
+        trace::MetricsSnapshot metrics;
+        telemetry::addPhaseHistograms(
+            metrics, {telemetry::phaseSecondsSince(phases_before)});
+        writeOutput(o.metrics, metrics.toJson() + "\n");
+    }
     return rc;
 }
 
@@ -511,51 +515,10 @@ cmdSweep(const SweepOptions &o)
     cfg.seed = o.seed;
     cfg.trace_dir = o.trace_dir;
     const bool tracing = !o.trace_dir.empty();
-    // Campaign progress doubles as a counter-event source: with a
-    // trace dir, each report lands as `campaign/progress.*` Counter
-    // events in <trace-dir>/progress.jsonl. The stream is wall-clock
-    // timed and non-canonical; per-trial traces stay deterministic.
-    std::vector<trace::TraceEvent> progress_events;
-    if (!o.quiet || tracing) {
-        // Report every progress_every trials and at least every two
-        // seconds, so slow grids (imx53 iRAM) still show life.
-        cfg.progress_interval = Seconds(2.0);
-        cfg.progress = [&progress_events, quiet = o.quiet,
-                        tracing](const CampaignProgress &p) {
-            if (tracing) {
-                // Serialized by the campaign's progress lock.
-                auto counterEvent = [&](const char *name, double v) {
-                    trace::TraceEvent ev;
-                    ev.phase = trace::Phase::Counter;
-                    ev.category = "campaign";
-                    ev.name = name;
-                    ev.ts = Seconds(p.elapsed_s);
-                    ev.args.push_back(
-                        {"v", v});
-                    progress_events.push_back(std::move(ev));
-                };
-                counterEvent("progress.done",
-                             static_cast<double>(p.done));
-                counterEvent("progress.trials_per_sec",
-                             p.trials_per_sec);
-                counterEvent("progress.eta_s", p.eta_s);
-            }
-            if (!quiet) {
-                std::fprintf(
-                    stderr,
-                    "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
-                    static_cast<unsigned long long>(p.done),
-                    static_cast<unsigned long long>(p.total),
-                    p.trials_per_sec, p.eta_s);
-                if (p.done == p.total)
-                    std::fprintf(stderr, "\n");
-            }
-        };
-    }
 
     // Live telemetry: sampler + optional heartbeat stream + optional
-    // /metrics endpoint. Counters are process-wide, so start from zero
-    // for this sweep.
+    // /metrics endpoint + progress. Counters are process-wide, so start
+    // from zero for this sweep.
     telemetry::resetCounters();
     telemetry::MonitorConfig mcfg;
     mcfg.interval_s = o.telemetry_interval_s;
@@ -564,9 +527,47 @@ cmdSweep(const SweepOptions &o)
     mcfg.grid_spec = grid.describe();
     mcfg.axes = monitorAxes(grid);
     mcfg.heartbeat_path = o.heartbeat;
+    // Each sample prints the progress line and, with a trace dir, lands
+    // as `campaign/progress.*` Counter events in
+    // <trace-dir>/progress.jsonl. The stream is wall-clock timed and
+    // non-canonical; per-trial traces stay deterministic.
+    std::vector<trace::TraceEvent> progress_events;
+    if (!o.quiet || tracing) {
+        mcfg.on_sample = [&progress_events, quiet = o.quiet, tracing,
+                          total = mcfg.total_trials](
+                             const telemetry::TelemetrySnapshot &snap) {
+            const uint64_t done =
+                snap.totals.get(telemetry::Counter::TrialsCompleted) +
+                snap.totals.get(telemetry::Counter::TrialsSkipped);
+            const double rate = snap.trials_per_sec_ewma;
+            if (tracing) {
+                auto counterEvent = [&](const char *name, double v) {
+                    trace::TraceEvent ev;
+                    ev.phase = trace::Phase::Counter;
+                    ev.category = "campaign";
+                    ev.name = name;
+                    ev.ts = Seconds(snap.elapsed_s);
+                    ev.args.push_back({"v", v});
+                    progress_events.push_back(std::move(ev));
+                };
+                counterEvent("progress.done", static_cast<double>(done));
+                counterEvent("progress.trials_per_sec", rate);
+                counterEvent("progress.eta_s", snap.eta_s);
+            }
+            if (!quiet) {
+                std::fprintf(
+                    stderr,
+                    "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
+                    static_cast<unsigned long long>(done),
+                    static_cast<unsigned long long>(total), rate,
+                    snap.eta_s);
+                if (snap.final_sample)
+                    std::fprintf(stderr, "\n");
+            }
+        };
+    }
     telemetry::CampaignMonitor monitor(mcfg);
-    const bool monitoring = o.metrics_port >= 0 || !o.heartbeat.empty();
-    if (monitoring)
+    if (o.metrics_port >= 0 || !o.heartbeat.empty() || mcfg.on_sample)
         monitor.start();
 
     std::unique_ptr<telemetry::HttpServer> server;
@@ -608,8 +609,7 @@ cmdSweep(const SweepOptions &o)
     // Final sample + heartbeat (flagged `"final": true`) before any
     // result files are written, so a consumer tailing the stream sees
     // the end of the run as soon as the campaign is over.
-    if (monitoring)
-        monitor.stop();
+    monitor.stop();
     if (server)
         server->stop();
     const CampaignSummary s = result.summary();
@@ -671,13 +671,11 @@ struct ReportOptions
     std::string input; // JSONL trace or sweep JSON
     std::string out = "-";
     std::string trace_dir; // campaign only
-    std::string baseline;  // campaign only
     std::string heartbeat; // campaign only: join a heartbeat stream
     std::string format = "md"; // md | prom (campaign only)
     bool check = false;
     bool cpa = false; // trace only: run the CPA key-recovery analyzer
     double cpa_window_ns = 0.0; // 0 = correlate over the full block
-    double regress_threshold = 0.5;
 };
 
 ReportOptions
@@ -696,8 +694,6 @@ parseReport(int argc, char **argv, int first)
             o.out = value();
         else if (flag == "--trace-dir")
             o.trace_dir = value();
-        else if (flag == "--baseline")
-            o.baseline = value();
         else if (flag == "--heartbeat")
             o.heartbeat = value();
         else if (flag == "--format")
@@ -708,8 +704,6 @@ parseReport(int argc, char **argv, int first)
             o.cpa = true;
         else if (flag == "--cpa-window-ns")
             o.cpa_window_ns = parseDouble(flag, value());
-        else if (flag == "--regress-threshold")
-            o.regress_threshold = parseDouble(flag, value());
         else if (!flag.empty() && flag[0] == '-' && flag != "-")
             usageFatal("unknown option ", flag);
         else
@@ -730,8 +724,6 @@ parseReport(int argc, char **argv, int first)
     if (o.mode == "trace") {
         if (!o.trace_dir.empty())
             usageFatal("--trace-dir is only valid for report campaign");
-        if (!o.baseline.empty())
-            usageFatal("--baseline is only valid for report campaign");
         if (!o.heartbeat.empty())
             usageFatal("--heartbeat is only valid for report campaign");
         if (o.format == "prom")
@@ -783,16 +775,10 @@ cmdReport(const ReportOptions &o)
 
     const report::SweepDoc sweep = report::readSweepFile(o.input);
 
-    report::Baseline baseline;
     report::CampaignReportOptions opts;
     opts.trace_dir = o.trace_dir;
     opts.check = o.check;
     opts.heartbeat_path = o.heartbeat;
-    opts.regression_threshold = o.regress_threshold;
-    if (!o.baseline.empty()) {
-        baseline = report::readBaselineFile(o.baseline);
-        opts.baseline = &baseline;
-    }
 
     if (o.format == "prom") {
         if (!sweep.has_timing || sweep.metrics.empty())
@@ -864,10 +850,9 @@ usage(std::ostream &out)
            "[--cpa-window-ns N]\n"
            "           [--out FILE|-]\n"
            "  report   campaign SWEEP.json [--trace-dir DIR]\n"
-           "           [--baseline BENCH.json] [--heartbeat "
-           "FILE.jsonl]\n"
-           "           [--format md|prom] [--check]\n"
-           "           [--regress-threshold X] [--out FILE|-]\n"
+           "           [--heartbeat FILE.jsonl] [--format md|prom] "
+           "[--check]\n"
+           "           [--out FILE|-]\n"
            "  `-` as an output path (--out, --metrics) writes to "
            "stdout.\n";
 }
