@@ -449,6 +449,56 @@ TEST(TraceIntegration, CampaignTracesAreByteIdenticalAcrossJobs)
     }
 }
 
+/** 64-bit FNV-1a: a compact pin for traces too large for golden files. */
+uint64_t
+fnv1a64(const std::string &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(TraceIntegration, ExcursionTrialTraceBytesArePinned)
+{
+    // One real pi4 trial per rail-excursion family, at the sweet spots
+    // of docs/ATTACKS.md, written by the engine's --trace-dir path.
+    struct Pin
+    {
+        const char *grid;
+        size_t bytes;
+        uint64_t fnv1a;
+    };
+    const Pin pins[] = {
+        {"board=pi4;attack=glitch;glitch-off-ns=109;glitch-width-ns=2;"
+         "glitch-depth=0.5;seeds=1",
+         12802, 0x19a12195bbde1b58ULL},
+        {"board=pi4;attack=static-extract;undervolt-depth=0.45;"
+         "hold-ns=400;seeds=1",
+         66092, 0x83821a603ed5ec0eULL},
+        {"board=pi4;attack=voltage-coupling;seeds=1", 97253,
+         0x50f3ad3862d42258ULL},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.grid);
+        const std::string dir =
+            (std::filesystem::path(testing::TempDir()) / "trace_pins")
+                .string();
+        std::filesystem::remove_all(dir);
+        CampaignConfig cfg;
+        cfg.jobs = 1;
+        cfg.trace_dir = dir;
+        Campaign(SweepGrid::parse(pin.grid), std::move(cfg)).run();
+        const std::string bytes = readFile(
+            (std::filesystem::path(dir) / "trial_000000.jsonl").string());
+        EXPECT_EQ(bytes.size(), pin.bytes);
+        EXPECT_EQ(fnv1a64(bytes), pin.fnv1a)
+            << std::hex << "actual 0x" << fnv1a64(bytes);
+    }
+}
+
 TEST(TraceIntegration, CampaignMetricsLandInResult)
 {
     CampaignConfig cfg;
