@@ -1,6 +1,5 @@
 #include "core/attack.hh"
 
-#include <cmath>
 #include <optional>
 #include <sstream>
 
@@ -10,7 +9,6 @@
 #include "os/workloads.hh"
 #include "sim/logging.hh"
 #include "soc/step_scope.hh"
-#include "trace/trace.hh"
 
 namespace voltboot
 {
@@ -486,59 +484,6 @@ class InjectorGuard
     Cpu &cpu_;
 };
 
-/**
- * Emit the whole pulse into the trace in one batch: one
- * voltage.<domain> Counter sample per instruction boundary inside the
- * pulse, a guaranteed return-to-nominal sample at pulse end, then the
- * "power" Complete span glitch.pulse bracketing them (children before
- * parents, as the span aggregator expects). Timestamps are assigned
- * manually, so the batch may be emitted at any sim time at or after
- * the pulse end.
- */
-void
-emitPulseTrace(const fault::GlitchWaveform &wave,
-               const std::string &domain, Seconds anchor, Seconds cycle)
-{
-    if (!trace::enabled())
-        return;
-    const std::string counter_name = "voltage." + domain;
-    auto sample = [&](double t_rel, double v) {
-        trace::TraceEvent ev;
-        ev.phase = trace::Phase::Counter;
-        ev.category = "power";
-        ev.name = counter_name;
-        ev.ts = Seconds(anchor.seconds() + t_rel);
-        ev.args.push_back({"v", v});
-        trace::emit(std::move(ev));
-    };
-    const double t0 = wave.start().seconds();
-    const double t3 = wave.end().seconds();
-    const double cyc = cycle.seconds();
-    double last_v = wave.nominal().volts();
-    for (double t = (std::floor(t0 / cyc) + 1.0) * cyc; t < t3;
-         t += cyc) {
-        const double v = wave.at(Seconds(t)).volts();
-        if (v != last_v) {
-            sample(t, v);
-            last_v = v;
-        }
-    }
-    sample(t3, wave.nominal().volts());
-
-    trace::TraceEvent span;
-    span.phase = trace::Phase::Complete;
-    span.category = "power";
-    span.name = "glitch.pulse";
-    span.ts = Seconds(anchor.seconds() + t0);
-    span.dur = wave.params().width;
-    span.args.push_back({"domain", domain});
-    span.args.push_back({"nominal_v", wave.nominal().volts()});
-    span.args.push_back({"depth_v", wave.params().depth.volts()});
-    span.args.push_back({"offset_s", t0});
-    span.args.push_back({"width_s", wave.params().width.seconds()});
-    trace::emit(std::move(span));
-}
-
 } // namespace
 
 GlitchAttack::GlitchAttack(Soc &soc, GlitchConfig config)
@@ -614,7 +559,8 @@ GlitchAttack::execute()
         // once the clock passes the pulse, its trace can be emitted
         // (all batch timestamps are then in the past).
         if (live && !pulse_traced && steps * cyc >= pulse_end) {
-            emitPulseTrace(wave, domain.name, anchor, config_.cycle);
+            fault::emitExcursionTrace(wave, "glitch.pulse", domain.name,
+                                      anchor, config_.cycle);
             pulse_traced = true;
         }
         bool more;
@@ -646,7 +592,8 @@ GlitchAttack::execute()
             anchor.seconds() + pulse_end + cyc - now.seconds();
         if (past_end > 0.0)
             soc_.advanceTime(Seconds(past_end));
-        emitPulseTrace(wave, domain.name, anchor, config_.cycle);
+        fault::emitExcursionTrace(wave, "glitch.pulse", domain.name,
+                                  anchor, config_.cycle);
     }
 
     out.steps = steps;

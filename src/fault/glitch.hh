@@ -31,6 +31,8 @@
 #ifndef VOLTBOOT_FAULT_GLITCH_HH
 #define VOLTBOOT_FAULT_GLITCH_HH
 
+#include <string>
+
 #include "sim/units.hh"
 
 namespace voltboot
@@ -93,6 +95,19 @@ class GlitchWaveform
     Seconds edge_{0.0};
     Volt floor_{0.0};
 };
+
+/**
+ * Emit @p wave as one rail excursion (docs/TRACING.md): a
+ * voltage.<domain> sample at each cycle boundary where the rail
+ * changes, a return-to-nominal sample at the end, then the "power"
+ * span @p span_name over them with domain, nominal_v, depth_v,
+ * offset_s and width_s. Stamped at @p anchor + waveform time, so it may
+ * run at any sim time after the waveform ends. No-op when tracing is
+ * off.
+ */
+void emitExcursionTrace(const GlitchWaveform &wave, const char *span_name,
+                        const std::string &domain, Seconds anchor,
+                        Seconds cycle);
 
 } // namespace fault
 } // namespace voltboot

@@ -69,7 +69,7 @@ PowerDomain::detachProbe()
             if (a->powerState() == PowerState::Retained)
                 a->powerDown();
         current_ = Volt(0.0);
-        trace::counter("power", "voltage." + name_, 0.0);
+        trace::counter("power", trace::voltageCounter(name_), 0.0);
     }
 }
 
@@ -108,7 +108,7 @@ PowerDomain::powerUp(Seconds now, Temperature temp)
     powered_ = true;
     current_ = nominal_;
     ever_powered_ = true;
-    trace::counter("power", "voltage." + name_, nominal_.volts());
+    trace::counter("power", trace::voltageCounter(name_), nominal_.volts());
 }
 
 void
@@ -131,7 +131,7 @@ PowerDomain::scaleVoltage(Volt v)
         for (MemoryArray *a : loads_)
             a->droopTo(v);
     current_ = v;
-    trace::counter("power", "voltage." + name_, v.volts());
+    trace::counter("power", trace::voltageCounter(name_), v.volts());
 }
 
 void
@@ -154,7 +154,7 @@ PowerDomain::powerDown(Seconds now)
         for (MemoryArray *a : loads_)
             a->powerDown();
         current_ = Volt(0.0);
-        trace::counter("power", "voltage." + name_, 0.0);
+        trace::counter("power", trace::voltageCounter(name_), 0.0);
         return;
     }
 
@@ -174,8 +174,9 @@ PowerDomain::powerDown(Seconds now)
     // Sample the rail at the droop minimum and after it settles — the
     // two points of the paper's oscilloscope shot that matter for
     // retention. The probe_hold invariant keys off these samples.
-    trace::counter("power", "voltage." + name_, tr.v_min.volts());
-    trace::counter("power", "voltage." + name_, tr.v_settled.volts());
+    trace::counter("power", trace::voltageCounter(name_), tr.v_min.volts());
+    trace::counter("power", trace::voltageCounter(name_),
+                   tr.v_settled.volts());
     for (MemoryArray *a : loads_) {
         a->droopTo(tr.v_min);
         a->retainAt(tr.v_settled);

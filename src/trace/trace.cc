@@ -88,7 +88,55 @@ appendArgsObject(std::string &out, const std::vector<Arg> &args)
     out += "}";
 }
 
+/** The rendered value of @p event's first argument named @p key. */
+const std::string *
+argJson(const TraceEvent &event, std::string_view key)
+{
+    for (const Arg &arg : event.args)
+        if (arg.key == key)
+            return &arg.json;
+    return nullptr;
+}
+
 } // namespace
+
+std::optional<double>
+argNumber(const TraceEvent &event, std::string_view key)
+{
+    const std::string *j = argJson(event, key);
+    if (!j)
+        return std::nullopt;
+    const char *end = j->data() + j->size();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(j->data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::string>
+argString(const TraceEvent &event, std::string_view key)
+{
+    const std::string *j = argJson(event, key);
+    if (!j || j->size() < 2 || j->front() != '"' || j->back() != '"' ||
+        j->find('\\') != std::string::npos)
+        return std::nullopt;
+    return j->substr(1, j->size() - 2);
+}
+
+std::string
+voltageCounter(std::string_view domain)
+{
+    return std::string(kVoltageCounterPrefix).append(domain);
+}
+
+std::optional<std::string_view>
+voltageCounterDomain(std::string_view counter_name)
+{
+    if (!counter_name.starts_with(kVoltageCounterPrefix))
+        return std::nullopt;
+    return counter_name.substr(kVoltageCounterPrefix.size());
+}
 
 std::string
 toJsonlLine(const TraceEvent &ev)
@@ -244,18 +292,24 @@ instant(const char *category, std::string name, std::vector<Arg> args)
     emit(std::move(ev));
 }
 
-void
-counter(const char *category, std::string name, double value)
+TraceEvent
+counterEvent(const char *category, std::string name, Seconds ts,
+             double value)
 {
-    if (!enabled())
-        return;
     TraceEvent ev;
     ev.phase = Phase::Counter;
     ev.category = category;
     ev.name = std::move(name);
-    ev.ts = simTime();
+    ev.ts = ts;
     ev.args.emplace_back("v", value);
-    emit(std::move(ev));
+    return ev;
+}
+
+void
+counter(const char *category, std::string name, double value)
+{
+    if (enabled())
+        emit(counterEvent(category, std::move(name), simTime(), value));
 }
 
 Span::Span(const char *category, std::string name) : live_(enabled())

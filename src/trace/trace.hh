@@ -39,8 +39,10 @@
 #define VOLTBOOT_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -112,6 +114,33 @@ struct TraceEvent
     Seconds dur{0.0}; ///< Span length; meaningful for Complete only.
     std::vector<Arg> args;
 };
+
+/** @name Argument readers (the consumer side of Arg)
+ *
+ * Both look at the first argument named @p key only.
+ */
+///@{
+/** The argument as a number; nullopt when absent, `null` (a nan/inf
+ * at emission) or anything but a complete JSON number. */
+std::optional<double> argNumber(const TraceEvent &event,
+                                std::string_view key);
+/** The argument as a string; nullopt when absent, not a string, or a
+ * string that needed escaping (names and hex blobs never do). */
+std::optional<std::string> argString(const TraceEvent &event,
+                                     std::string_view key);
+///@}
+
+/** Every supply-rail sample is a "power" Counter named
+ * `voltage.<domain>` carrying the rail voltage as `v`. */
+inline constexpr std::string_view kVoltageCounterPrefix = "voltage.";
+
+/** The Counter name sampling @p domain's rail. */
+std::string voltageCounter(std::string_view domain);
+
+/** The domain a `voltage.<domain>` Counter samples; nullopt for any
+ * other name. */
+std::optional<std::string_view> voltageCounterDomain(
+    std::string_view counter_name);
 
 /**
  * Destination for emitted events.
@@ -218,12 +247,17 @@ class Scope
 void instant(const char *category, std::string name,
              std::vector<Arg> args = {});
 
+/** A Counter event sampling @p value at @p ts, for emitters that
+ * stamp a batch of samples themselves. */
+TraceEvent counterEvent(const char *category, std::string name, Seconds ts,
+                        double value);
+
 /**
  * Emit a Counter event sampling @p value at the current simulation
  * time. The value travels as the single numeric argument `v`, which is
  * what Perfetto's counter-track rendering and the report layer's
  * waveform extraction both expect. The power layer samples each
- * domain's supply as `counter("power", "voltage.<domain>", volts)`.
+ * domain's supply as `counter("power", voltageCounter(domain), volts)`.
  */
 void counter(const char *category, std::string name, double value);
 
