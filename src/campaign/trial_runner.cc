@@ -47,21 +47,10 @@ deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index)
     return hashCombine(campaign_seed, trial_index);
 }
 
-namespace
+StagedVictim
+stageTrialVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
 {
-
-/** Victim staging result: what the attacker should recover. */
-struct Victim
-{
-    MemoryImage truth;
-    std::vector<uint8_t> planted_key; ///< Empty unless a key was staged.
-};
-
-/** Stage the standard victim for @p spec and capture ground truth. */
-Victim
-stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
-{
-    Victim v;
+    StagedVictim v;
     BareMetalRunner runner(soc);
     switch (spec.target) {
       case TargetRam::DCache:
@@ -128,8 +117,12 @@ stageVictim(Soc &soc, const TrialSpec &spec, Rng &rng)
     return v;
 }
 
+namespace
+{
+
 void
-score(TrialRecord &rec, const MemoryImage &dump, const Victim &victim)
+score(TrialRecord &rec, const MemoryImage &dump,
+      const StagedVictim &victim)
 {
     rec.dump_bytes = dump.sizeBytes();
     rec.bit_error_rate =
@@ -339,7 +332,7 @@ runTrial(const TrialSpec &spec, uint64_t campaign_seed)
         return rec;
     }
 
-    const Victim victim = stageVictim(soc, spec, rng);
+    const StagedVictim victim = stageTrialVictim(soc, spec, rng);
 
     if (spec.attack == AttackKind::StaticExtract) {
         // No probe, no power cycle: the rail sags in place, the clock

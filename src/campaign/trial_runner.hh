@@ -22,6 +22,7 @@
 #define VOLTBOOT_CAMPAIGN_TRIAL_RUNNER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "campaign/campaign_result.hh"
 #include "campaign/sweep_grid.hh"
@@ -31,6 +32,8 @@
 namespace voltboot
 {
 
+class Rng;
+class Soc;
 class VoltBootAttack;
 
 /** Board name to platform config ("pi3"|"pi4"|"imx53"); fatal() else. */
@@ -41,6 +44,17 @@ uint64_t deriveChipSeed(uint64_t campaign_seed, uint64_t seed_index);
 
 /** The per-trial random stream seed. */
 uint64_t deriveTrialSeed(uint64_t campaign_seed, uint64_t trial_index);
+
+/** A staged victim: what the attacker should recover. */
+struct StagedVictim
+{
+    MemoryImage truth;
+    std::vector<uint8_t> planted_key; ///< Empty unless a key was staged.
+};
+
+/** Stage the standard victim for @p spec's target on the powered @p soc
+ * and capture its ground truth (@p rng draws a planted key). */
+StagedVictim stageTrialVictim(Soc &soc, const TrialSpec &spec, Rng &rng);
 
 /** Dump @p target through an attack that has booted attacker code. */
 MemoryImage dumpTarget(VoltBootAttack &attack, TargetRam target);
