@@ -4,6 +4,7 @@
 #include <list>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "sim/rng.hh"
 #include "telemetry/counters.hh"
@@ -36,6 +37,10 @@ initialCapacityBytes()
     return static_cast<size_t>(mb) << 20;
 }
 
+/** Key digests the first-build set holds before it starts over. At
+ * 4 KiB of array per page, that spans 256 MiB of die. */
+constexpr size_t kMaxFirstBuilds = size_t{1} << 16;
+
 struct KeyHash
 {
     size_t
@@ -66,6 +71,9 @@ struct Cache
         lru;
     std::unordered_map<FingerprintKey, decltype(lru)::iterator, KeyHash>
         index;
+    /** Digests (KeyHash) of keys built once and not kept: a key is
+     * admitted on its second build. */
+    std::unordered_set<uint64_t> first_builds;
     size_t bytes = 0;
     size_t capacity = initialCapacityBytes();
     FingerprintCacheStats stats;
@@ -122,6 +130,12 @@ acquireFingerprintPlanes(const FingerprintKey &key,
         ++c.stats.oversize;
         return planes;
     }
+    // A die that never recurs (every seed of a fresh-chip sweep) would
+    // only fill the budget: keep a page from its second build on.
+    if (c.first_builds.size() == kMaxFirstBuilds)
+        c.first_builds.clear();
+    if (c.first_builds.insert(KeyHash{}(key)).second)
+        return planes;
     c.lru.emplace_front(key, planes);
     c.index.emplace(key, c.lru.begin());
     c.bytes += planes->footprint();
@@ -157,6 +171,7 @@ clearFingerprintCache()
     std::lock_guard<std::mutex> lock(c.mutex);
     c.lru.clear();
     c.index.clear();
+    c.first_builds.clear();
     c.bytes = 0;
     c.stats = {};
 }

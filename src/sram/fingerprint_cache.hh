@@ -14,7 +14,14 @@
  * once built, LRU-evicted under a configurable byte budget, and safe
  * to share across campaign worker threads (values are deterministic,
  * so a cache hit can never change simulation output). Hits and misses
- * count pages.
+ * count pages; a miss is any build.
+ *
+ * A page is admitted on its second build. The first build of a key
+ * only records its 64-bit digest in a bounded set (cleared with the
+ * cache, and when full), so a die that never recurs — every seed of a
+ * fresh-chip sweep — costs a digest per page instead of 12 KiB of
+ * planes. In a `seeds=N` grid a die recurs every N trials, and from
+ * then on it hits as before.
  *
  * The budget is bytes, so it bounds memory directly (a page costs
  * three 4 KiB planes). It defaults to 512 MB and is settable via the

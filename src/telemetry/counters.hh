@@ -14,9 +14,10 @@
  *    bump is therefore a single uncontended `lock add` on a line no
  *    other writer ever dirties.
  *  - Instrumented sites count at *kernel-invocation* granularity
- *    (one add of size_bits per decay pass, not one per cell), so the
- *    hot loops themselves are untouched. bench/retention_microbench
- *    --overhead asserts the end-to-end cost stays under 2%.
+ *    (one add per loss event or per page mask derived, not one per
+ *    cell), so the hot loops themselves are untouched.
+ *    bench/retention_microbench --overhead asserts the end-to-end cost
+ *    stays under 2%.
  *  - Per-batch events inside sim/cell_hash_batch are too frequent even
  *    for an uncontended atomic; those bump plain (non-atomic)
  *    thread-local tallies (~two instructions) which the owning kernel
@@ -60,9 +61,9 @@ enum class Counter : unsigned
     TrialsFailed,    ///< Completed with status error / attack_failed.
     TrialsWon,       ///< Completed with status ok.
     TrialsSkipped,   ///< Marked skipped after an abort.
-    CellsProcessed,  ///< Cells advanced by retention-kernel passes.
-    KernelAvx512,    ///< Fast-kernel passes on the AVX-512 batch path.
-    KernelScalar,    ///< Fast-kernel passes on the scalar batch path.
+    CellsProcessed,  ///< Cells whose loss mask a kernel derived.
+    KernelAvx512,    ///< Fast-kernel loss events, AVX-512 batch path.
+    KernelScalar,    ///< Fast-kernel loss events, scalar batch path.
     KernelReference, ///< Reference (per-cell) kernel passes.
     HashBatches,     ///< sim/cell_hash_batch entry-point calls.
     HashLanes,       ///< Total lanes those calls produced.
