@@ -1296,6 +1296,32 @@ TEST(Cli, ColdBootScoresTheOneTrialSweep)
         << cli.out;
 }
 
+TEST(Cli, ColdBootTakesTheTargetOfTheOneTrialSweep)
+{
+    const std::string dir = tempDir("cli_coldboot_target");
+    const CliResult cli =
+        runCli("coldboot --target icache --temp -110 --off-ms 20", dir);
+    ASSERT_EQ(cli.exit_code, 0) << cli.err;
+
+    CampaignConfig cfg;
+    cfg.jobs = 1;
+    const CampaignResult sweep =
+        Campaign(SweepGrid::parse(
+                     "target=icache;attack=coldboot;temp=-110;off-ms=20"),
+                 std::move(cfg))
+            .run();
+    ASSERT_EQ(sweep.records.size(), 1u);
+    // 9.92%; the dcache trial reads 10.02%.
+    EXPECT_NE(cli.out.find("error vs stored pattern: " +
+                           TextTable::pct(sweep.records[0].bit_error_rate) +
+                           " "),
+              std::string::npos)
+        << cli.out;
+
+    // Cold boot reads back an L1 data array only.
+    EXPECT_EQ(runCli("coldboot --target tlb", dir).exit_code, 2);
+}
+
 TEST(Cli, ReportTraceChecksAndWritesToStdout)
 {
     const std::string dir = tempDir("cli_trace");

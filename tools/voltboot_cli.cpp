@@ -16,7 +16,8 @@
  * Common options:
  *   --board pi3|pi4|imx53     target platform        (default pi4)
  *   --target dcache|icache|regs|iram|tlb|btb         (default dcache)
- *                             (retention: sram|dram, default sram)
+ *                             (coldboot: dcache|icache;
+ *                             retention: sram|dram, default sram)
  *   --temp <celsius>          ambient temperature    (default 25)
  *   --off-ms <ms>             power-off interval     (default 500)
  *   --current <amps>          probe current limit    (default 3.0)
@@ -304,9 +305,16 @@ int
 cmdColdBoot(const Options &o)
 {
     // Exactly the trial a one-point coldboot sweep runs at the default
-    // campaign seed: same die, same staged victim, same scoring.
+    // campaign seed: same die, same staged victim, same scoring. Cold
+    // boot reads back an L1 data array only.
+    const std::string name = o.target.empty() ? "dcache" : o.target;
+    const std::optional<TargetRam> target = enumFromName<TargetRam>(name);
+    if (target != TargetRam::DCache && target != TargetRam::ICache)
+        usageFatal("coldboot target must be dcache|icache, not '", name,
+                   "'");
     TrialSpec spec;
     spec.board = o.board;
+    spec.target = *target;
     spec.attack = AttackKind::ColdBoot;
     spec.temp_c = o.temp_c;
     spec.off_ms = o.off_ms;
@@ -783,7 +791,9 @@ usage(std::ostream &out)
            "LABEL]\n"
            "           [--trace FILE.jsonl] [--trace-chrome FILE.json] "
            "[--metrics FILE]\n"
-           "  coldboot --board ... --temp C --off-ms MS [--trace ...]\n"
+           "  coldboot --board ... [--target dcache|icache] --temp C "
+           "--off-ms MS\n"
+           "           [--trace ...]\n"
            "  survey   [--board ...]\n"
            "  retention [--target sram|dram]\n"
            "  sweep    --grid SPEC|FILE [--attack NAME] [--jobs N] "
