@@ -8,6 +8,21 @@
 namespace voltboot
 {
 
+namespace
+{
+
+/** Sample @p domain's supply as a `voltage.<domain>` trace counter.
+ * The counter name is a heap string, so it is built only when
+ * tracing is on. */
+void
+sampleRail(const std::string &domain, double volts)
+{
+    if (trace::enabled())
+        trace::counter("power", trace::voltageCounter(domain), volts);
+}
+
+} // namespace
+
 const char *
 toString(RegulatorKind kind)
 {
@@ -69,7 +84,7 @@ PowerDomain::detachProbe()
             if (a->powerState() == PowerState::Retained)
                 a->powerDown();
         current_ = Volt(0.0);
-        trace::counter("power", trace::voltageCounter(name_), 0.0);
+        sampleRail(name_, 0.0);
     }
 }
 
@@ -108,7 +123,7 @@ PowerDomain::powerUp(Seconds now, Temperature temp)
     powered_ = true;
     current_ = nominal_;
     ever_powered_ = true;
-    trace::counter("power", trace::voltageCounter(name_), nominal_.volts());
+    sampleRail(name_, nominal_.volts());
 }
 
 void
@@ -131,7 +146,7 @@ PowerDomain::scaleVoltage(Volt v)
         for (MemoryArray *a : loads_)
             a->droopTo(v);
     current_ = v;
-    trace::counter("power", trace::voltageCounter(name_), v.volts());
+    sampleRail(name_, v.volts());
 }
 
 void
@@ -154,7 +169,7 @@ PowerDomain::powerDown(Seconds now)
         for (MemoryArray *a : loads_)
             a->powerDown();
         current_ = Volt(0.0);
-        trace::counter("power", trace::voltageCounter(name_), 0.0);
+        sampleRail(name_, 0.0);
         return;
     }
 
@@ -174,9 +189,8 @@ PowerDomain::powerDown(Seconds now)
     // Sample the rail at the droop minimum and after it settles — the
     // two points of the paper's oscilloscope shot that matter for
     // retention. The probe_hold invariant keys off these samples.
-    trace::counter("power", trace::voltageCounter(name_), tr.v_min.volts());
-    trace::counter("power", trace::voltageCounter(name_),
-                   tr.v_settled.volts());
+    sampleRail(name_, tr.v_min.volts());
+    sampleRail(name_, tr.v_settled.volts());
     for (MemoryArray *a : loads_) {
         a->droopTo(tr.v_min);
         a->retainAt(tr.v_settled);
