@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -461,27 +462,20 @@ fnv1a64(const std::string &bytes)
     return h;
 }
 
-TEST(TraceIntegration, ExcursionTrialTraceBytesArePinned)
+/** One single-trial grid and its per-trial JSONL, pinned. */
+struct TracePin
 {
-    // One real pi4 trial per rail-excursion family, at the sweet spots
-    // of docs/ATTACKS.md, written by the engine's --trace-dir path.
-    struct Pin
-    {
-        const char *grid;
-        size_t bytes;
-        uint64_t fnv1a;
-    };
-    const Pin pins[] = {
-        {"board=pi4;attack=glitch;glitch-off-ns=109;glitch-width-ns=2;"
-         "glitch-depth=0.5;seeds=1",
-         12802, 0x19a12195bbde1b58ULL},
-        {"board=pi4;attack=static-extract;undervolt-depth=0.45;"
-         "hold-ns=400;seeds=1",
-         66092, 0x83821a603ed5ec0eULL},
-        {"board=pi4;attack=voltage-coupling;seeds=1", 97253,
-         0x50f3ad3862d42258ULL},
-    };
-    for (const Pin &pin : pins) {
+    const char *grid;
+    size_t bytes;
+    uint64_t fnv1a;
+};
+
+/** Run each pin's trial through the engine's --trace-dir path and
+ * compare the trial file's size and digest. */
+void
+expectPinnedTraces(std::span<const TracePin> pins)
+{
+    for (const TracePin &pin : pins) {
         SCOPED_TRACE(pin.grid);
         const std::string dir =
             (std::filesystem::path(testing::TempDir()) / "trace_pins")
@@ -497,6 +491,40 @@ TEST(TraceIntegration, ExcursionTrialTraceBytesArePinned)
         EXPECT_EQ(fnv1a64(bytes), pin.fnv1a)
             << std::hex << "actual 0x" << fnv1a64(bytes);
     }
+}
+
+TEST(TraceIntegration, ExcursionTrialTraceBytesArePinned)
+{
+    // One real pi4 trial per rail-excursion family, at the sweet spots
+    // of docs/ATTACKS.md, written by the engine's --trace-dir path.
+    const TracePin pins[] = {
+        {"board=pi4;attack=glitch;glitch-off-ns=109;glitch-width-ns=2;"
+         "glitch-depth=0.5;seeds=1",
+         12802, 0x19a12195bbde1b58ULL},
+        {"board=pi4;attack=static-extract;undervolt-depth=0.45;"
+         "hold-ns=400;seeds=1",
+         66092, 0x83821a603ed5ec0eULL},
+        {"board=pi4;attack=voltage-coupling;seeds=1", 97253,
+         0x50f3ad3862d42258ULL},
+    };
+    expectPinnedTraces(pins);
+}
+
+TEST(TraceIntegration, ExtractionTrialTraceBytesArePinned)
+{
+    // Volt Boot trials whose extractor runs through disabled L1s: the
+    // cache model's fills, write-backs and replacement order all reach
+    // these bytes, which a Fast-vs-Reference comparison in one build
+    // cannot see.
+    const TracePin pins[] = {
+        {"board=pi4;attack=voltboot;target=dcache;seeds=1", 36858,
+         0x62eea5701d9f730fULL},
+        {"board=imx53;attack=voltboot;target=dcache;seeds=1", 14073,
+         0xef2ce2cb0c88b299ULL},
+        {"board=pi4;attack=voltboot;target=icache;seeds=1", 37025,
+         0x3e4a66cf769f3e24ULL},
+    };
+    expectPinnedTraces(pins);
 }
 
 TEST(TraceIntegration, CampaignMetricsLandInResult)
