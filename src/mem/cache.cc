@@ -1,7 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -39,7 +39,7 @@ Cache::Cache(std::string name, CacheGeometry geometry, MemoryArray &data_ram,
     : name_(std::move(name)), geom_(geometry), data_(data_ram),
       tags_(tag_ram), backing_(backing),
       lru_(geometry.sets() * geometry.ways, 0),
-      rr_(geometry.sets(), 0)
+      rr_(geometry.sets(), 0), line_buf_(geometry.line_bytes)
 {
     if (!isPow2(geom_.line_bytes) || geom_.line_bytes < 8)
         fatal("Cache ", name_, ": line size must be a power of two >= 8");
@@ -186,9 +186,8 @@ Cache::writebackLine(size_t way, size_t set)
     const size_t set_bits = std::countr_zero(geom_.sets());
     const uint64_t line_addr =
         (tag << (off_bits + set_bits)) | (set << off_bits);
-    std::vector<uint8_t> buf(geom_.line_bytes);
-    data_.read(dataOffset(way, set), buf);
-    backing_->writeLine(line_addr, buf);
+    data_.read(dataOffset(way, set), line_buf_);
+    backing_->writeLine(line_addr, line_buf_);
     ++stats_.writebacks;
 }
 
@@ -209,10 +208,11 @@ Cache::fill(const Lookup &l, uint64_t addr, bool secure)
     writebackLine(way, l.set);
 
     const uint64_t line_addr = addr & ~(geom_.line_bytes - 1);
-    std::vector<uint8_t> buf(geom_.line_bytes, 0);
     if (backing_)
-        backing_->readLine(line_addr, buf);
-    data_.write(dataOffset(way, l.set), buf);
+        backing_->readLine(line_addr, line_buf_);
+    else
+        std::fill(line_buf_.begin(), line_buf_.end(), 0);
+    data_.write(dataOffset(way, l.set), line_buf_);
 
     uint64_t entry = l.tag | kFlagValid;
     if (!secure)
@@ -228,13 +228,9 @@ Cache::read64(uint64_t addr, bool secure)
     if (addr % 8)
         panic("Cache ", name_, ": unaligned read64 at ", addr);
     if (!enabled_) {
-        std::vector<uint8_t> buf(geom_.line_bytes);
         if (!backing_)
             panic("Cache ", name_, ": disabled with no backing");
-        backing_->readLine(addr & ~(geom_.line_bytes - 1), buf);
-        uint64_t v;
-        std::memcpy(&v, buf.data() + (addr & (geom_.line_bytes - 1)), 8);
-        return v;
+        return backing_->readWord(addr);
     }
     const Lookup l = split(addr);
     const size_t way = fill(l, addr, secure);
@@ -249,12 +245,7 @@ Cache::write64(uint64_t addr, uint64_t value, bool secure)
     if (!enabled_) {
         if (!backing_)
             panic("Cache ", name_, ": disabled with no backing");
-        // Read-modify-write the backing line.
-        const uint64_t line_addr = addr & ~(geom_.line_bytes - 1);
-        std::vector<uint8_t> buf(geom_.line_bytes);
-        backing_->readLine(line_addr, buf);
-        std::memcpy(buf.data() + (addr & (geom_.line_bytes - 1)), &value, 8);
-        backing_->writeLine(line_addr, buf);
+        backing_->writeWord(addr, value);
         return;
     }
     const Lookup l = split(addr);
@@ -334,8 +325,8 @@ Cache::zeroLine(uint64_t addr)
         return;
     const Lookup l = split(addr);
     const size_t way = fill(l, addr, /*secure=*/false);
-    std::vector<uint8_t> zeros(geom_.line_bytes, 0);
-    data_.write(dataOffset(way, l.set), zeros);
+    std::fill(line_buf_.begin(), line_buf_.end(), 0);
+    data_.write(dataOffset(way, l.set), line_buf_);
     setTagEntry(way, l.set, tagEntry(way, l.set) | kFlagDirty);
 }
 

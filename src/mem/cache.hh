@@ -33,7 +33,11 @@
 namespace voltboot
 {
 
-/** Next-level interface a cache fills from and writes back to. */
+/**
+ * Next-level interface a cache fills from and writes back to. An
+ * enabled cache moves whole lines; a disabled one passes each 64-bit
+ * word straight through.
+ */
 class LineBacking
 {
   public:
@@ -41,6 +45,8 @@ class LineBacking
     virtual void readLine(uint64_t line_addr, std::span<uint8_t> out) = 0;
     virtual void writeLine(uint64_t line_addr,
                            std::span<const uint8_t> data) = 0;
+    virtual uint64_t readWord(uint64_t addr) = 0;
+    virtual void writeWord(uint64_t addr, uint64_t value) = 0;
 };
 
 /**
@@ -219,6 +225,10 @@ class Cache
     /** Round-robin pointers / LFSR state for the non-LRU policies. */
     std::vector<uint32_t> rr_;
     uint32_t lfsr_ = 0xACE1u;
+    /** One line of scratch for fills, write-backs and DC ZVA. A fill
+     * writes back its victim before it reads the new line, and the
+     * backing's own accesses run on another Cache, so one suffices. */
+    std::vector<uint8_t> line_buf_;
     /** Debug-view bit permutation (empty = documented order). */
     std::vector<uint8_t> scramble_;
     uint64_t scrambleWord(uint64_t word) const;

@@ -42,6 +42,9 @@ class MemoryRegion : public LineBacking
     void readLine(uint64_t line_addr, std::span<uint8_t> out) override;
     void writeLine(uint64_t line_addr,
                    std::span<const uint8_t> data) override;
+    uint64_t readWord(uint64_t addr) override { return read64(addr); }
+    void writeWord(uint64_t addr, uint64_t value) override
+    { write64(addr, value); }
 
     uint64_t read64(uint64_t addr) const;
     void write64(uint64_t addr, uint64_t value);
@@ -61,6 +64,10 @@ class CacheBacking : public LineBacking
     void readLine(uint64_t line_addr, std::span<uint8_t> out) override;
     void writeLine(uint64_t line_addr,
                    std::span<const uint8_t> data) override;
+    uint64_t readWord(uint64_t addr) override
+    { return cache_.read64(addr, /*secure=*/true); }
+    void writeWord(uint64_t addr, uint64_t value) override
+    { cache_.write64(addr, value, /*secure=*/true); }
 
   private:
     Cache &cache_;

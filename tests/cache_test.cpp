@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "sim/logging.hh"
@@ -218,6 +221,143 @@ TEST(Cache, DisabledCachePassesThrough)
     EXPECT_FALSE(h.cache_.probeHit(0x700));
     EXPECT_EQ(h.cache_.read64(0x700, true), 0x77ull);
     EXPECT_EQ(h.cache_.stats().misses, 0u);
+}
+
+TEST(Cache, DisabledCacheOverMemoryMovesOneWord)
+{
+    CacheHarness h;
+    h.cache_.setEnabled(false);
+    h.backing_store_.writeWord64(0x1238, 0x0123456789abcdefull);
+    EXPECT_EQ(h.cache_.read64(0x1238, true), 0x0123456789abcdefull);
+    h.cache_.write64(0x1240, 0xfedcba9876543210ull, true);
+    EXPECT_EQ(h.backing_store_.readWord64(0x1240), 0xfedcba9876543210ull);
+    EXPECT_EQ(h.cache_.read64(0x1240, true), 0xfedcba9876543210ull);
+    // The neighbours in both lines are untouched.
+    EXPECT_EQ(h.cache_.read64(0x1230, true),
+              h.backing_store_.readWord64(0x1230));
+    EXPECT_EQ(h.cache_.read64(0x1248, true),
+              h.backing_store_.readWord64(0x1248));
+}
+
+TEST(Cache, DisabledCacheWordOutsideMemoryPanics)
+{
+    CacheHarness h;
+    h.cache_.setEnabled(false);
+    const uint64_t end = h.backing_store_.sizeBytes();
+    EXPECT_THROW(h.cache_.read64(end, true), PanicError);
+    EXPECT_THROW(h.cache_.write64(end, 1, true), PanicError);
+    EXPECT_THROW(h.cache_.read8(end + 3, true), PanicError);
+}
+
+/** A disabled L1 over an enabled L2 over flat memory: the hierarchy
+ * the boot ROM leaves behind on every board. */
+class L2Harness
+{
+  public:
+    L2Harness()
+        : l1_data_("l1d", l1_geom_.size_bytes, 1, 60),
+          l1_tags_("l1t", Cache::tagRamBytes(l1_geom_), 1, 61),
+          l2_data_("l2d", l2_geom_.size_bytes, 1, 62),
+          l2_tags_("l2t", Cache::tagRamBytes(l2_geom_), 1, 63),
+          dram_("mem", 1 << 20, 1, 64), region_(dram_, 0),
+          l2_("L2", l2_geom_, l2_data_, l2_tags_, &region_),
+          l2_backing_(l2_),
+          l1_("L1D", l1_geom_, l1_data_, l1_tags_, &l2_backing_)
+    {
+        l1_data_.powerUp(Volt(0.8));
+        l1_tags_.powerUp(Volt(0.8));
+        l2_data_.powerUp(Volt(0.8));
+        l2_tags_.powerUp(Volt(0.8));
+        dram_.powerUp(Volt(1.1));
+        l2_.invalidateAll();
+        l2_.setEnabled(true);
+        l1_.setEnabled(false);
+    }
+
+    /** Every L2 tag entry followed by the whole L2 data RAM. */
+    std::vector<uint64_t>
+    l2State() const
+    {
+        std::vector<uint64_t> out;
+        for (size_t s = 0; s < l2_geom_.sets(); ++s)
+            for (size_t w = 0; w < l2_geom_.ways; ++w)
+                out.push_back(l2_.debugReadTagEntry(w, s));
+        for (size_t w = 0; w < l2_geom_.ways; ++w)
+            for (size_t s = 0; s < l2_geom_.sets(); ++s)
+                for (size_t i = 0; i < l2_geom_.line_bytes / 8; ++i)
+                    out.push_back(l2_.debugReadDataWord(w, s, i));
+        return out;
+    }
+
+    CacheGeometry l1_geom_{4096, 2, 64};
+    CacheGeometry l2_geom_{16384, 4, 64};
+    SramArray l1_data_, l1_tags_, l2_data_, l2_tags_;
+    DramArray dram_;
+    MemoryRegion region_;
+    Cache l2_;
+    CacheBacking l2_backing_;
+    Cache l1_;
+};
+
+TEST(Cache, DisabledL1OverL2RoundTrips)
+{
+    L2Harness h;
+    h.l1_.write64(0x2000, 0x1122334455667788ull, true);
+    EXPECT_EQ(h.l1_.read64(0x2000, true), 0x1122334455667788ull);
+    h.l1_.write8(0x2009, 0x5A, true);
+    EXPECT_EQ(h.l1_.read8(0x2009, true), 0x5Au);
+    EXPECT_EQ(h.l1_.read8(0x2003, true), 0x55u);
+    // Nothing lands in the disabled L1.
+    EXPECT_FALSE(h.l1_.probeHit(0x2000));
+    EXPECT_EQ(h.l1_.stats().hits + h.l1_.stats().misses, 0u);
+}
+
+TEST(Cache, DisabledL1StoreLeavesTheLineTheLinePathLeft)
+{
+    // The word path against a read-modify-write of the whole line
+    // through the same backing, on two identical hierarchies.
+    L2Harness word, line;
+    const uint64_t addrs[] = {0x3008, 0x3038, 0x7ff0, 0x3010};
+    for (uint64_t a : addrs) {
+        const uint64_t v = 0xC0DE000000000000ull | a;
+        word.l1_.write64(a, v, true);
+
+        const uint64_t line_addr = a & ~uint64_t{63};
+        std::vector<uint8_t> buf(64);
+        line.l2_backing_.readLine(line_addr, buf);
+        std::memcpy(buf.data() + (a - line_addr), &v, 8);
+        line.l2_backing_.writeLine(line_addr, buf);
+    }
+    for (uint64_t a : addrs) {
+        EXPECT_TRUE(word.l2_.probeHit(a));
+        const size_t set = (a / 64) % word.l2_geom_.sets();
+        bool dirty = false;
+        for (size_t w = 0; w < word.l2_geom_.ways; ++w) {
+            const uint64_t e = word.l2_.debugReadTagEntry(w, set);
+            if ((e & Cache::kFlagValid) &&
+                (e & 0xffffffffffffull) ==
+                    a / (64 * word.l2_geom_.sets()))
+                dirty = (e & Cache::kFlagDirty) != 0;
+        }
+        EXPECT_TRUE(dirty) << std::hex << a;
+    }
+    EXPECT_EQ(word.l2State(), line.l2State());
+    EXPECT_EQ(word.l2_.stats().misses, line.l2_.stats().misses);
+}
+
+TEST(Cache, DisabledL1MissesL2OncePerLine)
+{
+    L2Harness h;
+    // Three distinct lines, every word of each, loads and stores mixed.
+    for (uint64_t base : {0x4000ull, 0x4040ull, 0x9000ull})
+        for (uint64_t off = 0; off < 64; off += 8) {
+            if (off % 16)
+                h.l1_.write64(base + off, off, true);
+            else
+                h.l1_.read64(base + off, true);
+        }
+    EXPECT_EQ(h.l2_.stats().misses, 3u);
+    EXPECT_EQ(h.l2_.stats().hits, 3u * 8 - 3);
 }
 
 TEST(Cache, DebugViewIgnoresValidBits)
