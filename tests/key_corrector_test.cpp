@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <span>
 
 #include "crypto/aes.hh"
 #include "crypto/key_corrector.hh"
@@ -203,6 +205,33 @@ TEST(KeyCorrector, Handles256BitKeys)
     const auto r = corrector.correct(sched, 32);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->key, key);
+}
+
+TEST(RobustKeyScanner, FirstRoundMismatchMatchesFullExpansion)
+{
+    // Seeded windows: clean schedules, schedules at a few error rates,
+    // and random bytes. The one-round prefilter must give exactly what
+    // comparing against a whole expanded schedule gives.
+    for (size_t kb : {16u, 24u, 32u}) {
+        for (uint64_t seed = 0; seed < 200; ++seed) {
+            SCOPED_TRACE(testing::Message() << kb << " B key, seed " << seed);
+            std::vector<uint8_t> window =
+                Aes::expandKey(testKey(kb, 1000 + seed));
+            const double bers[] = {0.0, 0.01, 0.1, 0.5};
+            window = corrupt(std::move(window), bers[seed % 4], seed);
+            const std::vector<uint8_t> ideal =
+                Aes::expandKey(std::span(window).first(kb));
+            size_t errors = 0;
+            for (size_t i = kb; i < kb + 16; ++i)
+                errors += std::popcount(
+                    static_cast<uint8_t>(window[i] ^ ideal[i]));
+            EXPECT_EQ(RobustKeyScanner::firstRoundMismatch(window, kb),
+                      static_cast<double>(errors) / (16.0 * 8.0));
+        }
+    }
+    std::vector<uint8_t> window(240, 0x5a);
+    EXPECT_THROW(RobustKeyScanner::firstRoundMismatch(window, 20),
+                 FatalError);
 }
 
 TEST(KeyCorrector, RejectsBadSizes)
