@@ -116,6 +116,11 @@ resetCounters()
 
 WorkerScope::WorkerScope() : prev_(tl_block)
 {
+    // Hash tallies accrued before this scope belong to the enclosing
+    // scope if there is one, and to no scope otherwise: never to the
+    // first unit of work this one runs.
+    drainHashStats();
+    tl_hash_stats = {};
     tl_block = acquireBlock();
 }
 

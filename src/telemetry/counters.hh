@@ -126,8 +126,8 @@ noteHashBatch(unsigned lanes)
 }
 
 /** Move the thread's accumulated hash-batch tallies into its counter
- * block (no-op without a WorkerScope; tallies then keep accruing
- * harmlessly until one is installed). */
+ * block (no-op without a WorkerScope; tallies then keep accruing until
+ * the next WorkerScope opens and discards them). */
 inline void
 drainHashStats()
 {
@@ -211,7 +211,9 @@ void resetCounters();
  * from a process-wide pool and survive the scope (their counts stay
  * visible in totals() after the worker exits); a later scope reuses a
  * pooled block and keeps adding to it, so totals stay monotonic.
- * Scopes nest — the previous block is restored on exit.
+ * Scopes nest — the previous block is restored on exit. On entry,
+ * pending hash tallies go to the enclosing scope's block, or are
+ * discarded when there is none.
  */
 class WorkerScope
 {

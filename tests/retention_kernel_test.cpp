@@ -827,7 +827,6 @@ TEST(LazyMaterialization, FreshTrialsHashOnlyThePagesTheyRead)
     recovery.seed_index = 2;
     for (const TrialSpec &spec : {voltboot, coldboot, recovery}) {
         telemetry::WorkerScope scope;
-        telemetry::drainHashStats(); // tallies from outside any scope
         const auto lanesSoFar = [] {
             return telemetry::totals().get(telemetry::Counter::HashLanes);
         };

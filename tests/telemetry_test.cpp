@@ -145,7 +145,6 @@ TEST(Counters, MultithreadedAddsSumExactly)
 TEST(Counters, HashStatsDrainIntoTheBlock)
 {
     telemetry::resetCounters();
-    telemetry::tl_hash_stats = {};
     telemetry::WorkerScope scope;
     telemetry::noteHashBatch(8);
     telemetry::noteHashBatch(16);
@@ -157,6 +156,34 @@ TEST(Counters, HashStatsDrainIntoTheBlock)
     // Drain is move semantics: a second drain adds nothing.
     telemetry::drainHashStats();
     EXPECT_EQ(telemetry::totals().get(Counter::HashBatches), 2u);
+    telemetry::resetCounters();
+}
+
+TEST(Counters, HashStatsFromOutsideAnyScopeAreNotCredited)
+{
+    telemetry::resetCounters();
+    telemetry::noteHashBatch(32); // no scope: belongs to nobody
+    {
+        telemetry::WorkerScope scope;
+        telemetry::drainHashStats();
+        EXPECT_EQ(telemetry::totals().get(Counter::HashLanes), 0u);
+        EXPECT_EQ(telemetry::totals().get(Counter::HashBatches), 0u);
+    }
+    EXPECT_EQ(telemetry::totals().get(Counter::HashLanes), 0u);
+    telemetry::resetCounters();
+}
+
+TEST(Counters, AnInnerScopeLeavesTheOuterScopesHashStatsToIt)
+{
+    telemetry::resetCounters();
+    {
+        telemetry::WorkerScope outer;
+        telemetry::noteHashBatch(8);
+        telemetry::WorkerScope inner;
+        EXPECT_EQ(telemetry::totals().get(Counter::HashLanes), 8u);
+        telemetry::noteHashBatch(4);
+    }
+    EXPECT_EQ(telemetry::totals().get(Counter::HashLanes), 12u);
     telemetry::resetCounters();
 }
 
