@@ -9,7 +9,10 @@
  * path), reporting cells/sec and the speedup over the reference path.
  * The kernels are bit-exact by construction; this bench re-asserts it
  * by comparing every final snapshot and loss count against the
- * reference run before reporting.
+ * reference run before reporting. Every timed iteration reads the
+ * whole array back, so deferred per-page work is timed too; both
+ * artefacts say so as "method": "readback", which keys their
+ * tools/bench_history.py series.
  *
  * With --sizes the bench instead sweeps the bit-sliced plane kernels
  * across array sizes (64 KiB to 256 MiB is the intended curve) and
@@ -375,6 +378,7 @@ runPlaneScaling(const std::vector<size_t> &sizes, unsigned reps,
     TextTable table(
         {"bytes", "scenario", "kernel", "cells/s", "vs ref", "verify"});
     std::string artefact = "{\n  \"bench\": \"plane_scaling\",\n"
+                           "  \"method\": \"readback\",\n"
                            "  \"reps\": " +
                            std::to_string(reps) +
                            ",\n  \"jobs\": " + std::to_string(jobs) +
@@ -548,6 +552,7 @@ main(int argc, char **argv)
                                "droop"};
 
     std::string artefact = "{\n  \"bench\": \"retention_microbench\",\n"
+                           "  \"method\": \"readback\",\n"
                            "  \"bytes\": " +
                            std::to_string(bytes) +
                            ",\n  \"reps\": " + std::to_string(reps) +

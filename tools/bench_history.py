@@ -10,6 +10,13 @@ compared against the rolling median of the last ``--window`` history
 entries per metric: any metric that drops below
 ``(1 - threshold) * median`` fails the run.
 
+An artefact whose top level carries a string ``"method"`` field (what
+the bench times, e.g. ``"readback"``) keys its metrics as
+``stem@method/path``. A bench that deliberately changes what it
+measures changes its method tag, which starts a new series instead of
+failing against numbers taken the old way; a drop under an unchanged
+method still fails.
+
 The first invocation (empty history) always passes — it only seeds the
 history. Metrics that appear or disappear between runs are reported but
 never fail the gate, so bench additions/renames don't break CI.
@@ -59,6 +66,9 @@ def collect_artifacts(artifact_dir):
         except (OSError, json.JSONDecodeError) as e:
             sys.exit(f"error: cannot read {path}: {e}")
         stem = name[:-len(".json")]
+        method = doc.get("method") if isinstance(doc, dict) else None
+        if isinstance(method, str) and method:
+            stem = f"{stem}@{method}"
         walk_metrics(doc, stem, metrics)
     return metrics
 
