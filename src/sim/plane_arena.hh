@@ -263,11 +263,11 @@ class PlaneArena
   private:
     struct Deleter
     {
-        void
-        operator()(uint64_t *p) const
-        {
-            ::operator delete[](p, std::align_val_t{64});
-        }
+        Deleter() : mapped_bytes(0) {}
+        explicit Deleter(size_t mapped) : mapped_bytes(mapped) {}
+        void operator()(uint64_t *p) const;
+        /** Nonzero for a block mapped from the OS: its length. */
+        size_t mapped_bytes;
     };
     struct Block
     {
@@ -279,6 +279,12 @@ class PlaneArena
     /** Floor for fresh blocks so many tiny planes don't each pay a
      * heap allocation (512 words = 4 KiB). */
     static constexpr size_t kMinBlockWords = 512;
+    /** Blocks this big or bigger (whole arrays' planes, not pages') are
+     * mapped from the OS and, on release, pooled for reuse at the same
+     * size. From the malloc heap they would leave die-sized holes that
+     * later dies fit into only by luck, so peak RSS would depend on
+     * heap layout, not on live data. */
+    static constexpr size_t kMapBlockBytes = size_t{256} << 10;
 
     Block &growBlock(size_t at_least_words);
 

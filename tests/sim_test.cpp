@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <set>
 #include <vector>
@@ -309,12 +311,28 @@ TEST(Logging, MessagesAreFormatted)
 TEST(PlaneArena, AllocationsAreZeroedAndAligned)
 {
     PlaneArena arena;
-    for (size_t nwords : {1u, 7u, 64u, 1000u}) {
+    // The last two sizes get blocks mapped from the OS, not the heap.
+    for (size_t nwords : {1u, 7u, 64u, 1000u, 1u << 15, 100001u}) {
         uint64_t *p = arena.allocWords(nwords);
         ASSERT_NE(p, nullptr);
         EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 64, 0u);
         for (size_t i = 0; i < nwords; ++i)
             ASSERT_EQ(p[i], 0u) << "word " << i;
+    }
+}
+
+TEST(PlaneArena, ReusedMappedBlocksComeBackZeroed)
+{
+    // A released array-sized block is pooled and handed to the next
+    // arena that wants one of its size, dirty: the span must still read
+    // as zero.
+    const size_t nwords = size_t{1} << 16;
+    for (int round = 0; round < 3; ++round) {
+        PlaneArena arena;
+        uint64_t *p = arena.allocWords(nwords);
+        for (size_t i = 0; i < nwords; ++i)
+            ASSERT_EQ(p[i], 0u) << "round " << round << ", word " << i;
+        std::fill(p, p + nwords, ~uint64_t{0});
     }
 }
 
