@@ -1473,6 +1473,25 @@ TEST(Cli, GlitchSweepTracesPassTheChecker)
     }
 }
 
+TEST(Cli, SweepPrintsOneSummaryLinePerFamily)
+{
+    const std::string dir = tempDir("cli_families");
+    const CliResult r = runCli(
+        "sweep --grid \"attack=voltboot,coldboot,glitch,static-extract,"
+        "voltage-coupling,key-recovery;glitch-off-ns=109;"
+        "glitch-width-ns=2;glitch-depth=0.5;undervolt-depth=0.45;"
+        "hold-ns=400;seeds=1\" --jobs 1 --quiet",
+        dir);
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_NE(r.out.find("\nkeys: 2 planted, 1 found, 1 exact\n"
+                         "glitch: 1 trials, 0 bypassed\n"
+                         "static-extract: 1 trials, 1 frozen\n"
+                         "coupling: 1 trials, 16 CPA key bytes recovered\n"
+                         "key-recovery: 1 trials, 0 exact keys\n"),
+              std::string::npos)
+        << r.out;
+}
+
 TEST(Cli, ReportRejectsDeeplyNestedJson)
 {
     const std::string dir = tempDir("cli_deep");

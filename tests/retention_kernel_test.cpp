@@ -921,6 +921,19 @@ readFile(const std::filesystem::path &p)
     return os.str();
 }
 
+/** 64-bit FNV-1a: a compact pin for outputs too large for golden
+ * files. */
+uint64_t
+fnv1a64(const std::string &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /** A campaign's canonical outputs: JSON, CSV and, when traced, every
  * trial's JSONL trace. */
 struct CampaignBytes
@@ -987,6 +1000,37 @@ TEST(GoldenEquivalence, CampaignJsonCsvAndTracesAreByteIdentical)
         EXPECT_EQ(ref_traced.traces[i], fast_traced.traces[i])
             << "Reference trial trace " << i;
     std::filesystem::remove_all(trace_root);
+
+    // Both kernels share the trial runner, the cache model and the
+    // writers, so a change there moves both sides of the comparisons
+    // above. These pins do not move with it.
+    size_t error_records = 0;
+    for (size_t at = 0;
+         (at = fast.json.find("\"status\": \"error\"", at)) !=
+         std::string::npos;
+         ++at)
+        ++error_records;
+    EXPECT_EQ(error_records, 20u);
+    std::string traces;
+    for (const std::string &t : fast_traced.traces)
+        traces += t;
+    const struct
+    {
+        const char *what;
+        const std::string &bytes;
+        size_t size;
+        uint64_t fnv1a;
+    } pins[] = {
+        {"JSON", fast.json, 64879, 0x4282386bfde36f60ULL},
+        {"CSV", fast.csv, 11457, 0xd08db207661c0bd6ULL},
+        {"traces", traces, 2562511, 0xb19660b7d80b7648ULL},
+    };
+    for (const auto &pin : pins) {
+        EXPECT_EQ(pin.bytes.size(), pin.size) << pin.what;
+        EXPECT_EQ(fnv1a64(pin.bytes), pin.fnv1a)
+            << pin.what << std::hex << ": actual 0x"
+            << fnv1a64(pin.bytes);
+    }
 }
 
 // --- Calibration anchors through the fast kernel ---
