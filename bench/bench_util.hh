@@ -8,14 +8,17 @@
 #ifndef VOLTBOOT_BENCH_BENCH_UTIL_HH
 #define VOLTBOOT_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hh"
 #include "sram/memory_image.hh"
 
 namespace voltboot
@@ -34,6 +37,99 @@ specList(const std::vector<double> &values)
         out += (out.empty() ? "" : ",") + std::string(buf, end);
     }
     return out;
+}
+
+/** @p v with three decimals, for BENCH_*.json artefacts. */
+inline std::string
+jsonNum(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
+}
+
+/** The flags of a throughput bench: one count, `--<flag> N` (at
+ * least 1), and the worker counts to compare, `--jobs A,B,...`. */
+struct BenchArgs
+{
+    uint64_t count;
+    std::vector<unsigned> jobs;
+};
+
+/** Parse the flags of bench @p name over @p args' defaults, the count
+ * under @p count_flag; a usage error exits 2. */
+inline BenchArgs
+parseBenchArgs(const std::string &name, const std::string &count_flag,
+               BenchArgs args, int argc, char **argv)
+{
+    const auto usage = [&](const std::string &detail) {
+        std::cerr << name << ": " << detail << "\nusage: " << name << " ["
+                  << count_flag << " N] [--jobs A,B,...]\n";
+        std::exit(2);
+    };
+    const auto number = [&](const std::string &flag,
+                            const std::string &text) {
+        uint64_t value = 0;
+        const auto [ptr, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || ptr != text.data() + text.size() ||
+            text.empty())
+            usage("malformed value '" + text + "' for " + flag);
+        return value;
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        if (flag != count_flag && flag != "--jobs")
+            usage("unknown option " + flag);
+        if (i + 1 >= argc)
+            usage("missing value for " + flag);
+        const std::string text = argv[++i];
+        if (flag == count_flag) {
+            args.count = std::max<uint64_t>(1, number(flag, text));
+            continue;
+        }
+        args.jobs.clear();
+        for (size_t pos = 0; pos <= text.size();) {
+            const size_t comma = std::min(text.find(',', pos), text.size());
+            const uint64_t j = number(flag, text.substr(pos, comma - pos));
+            if (j == 0)
+                usage("--jobs entries must be >= 1");
+            args.jobs.push_back(static_cast<unsigned>(j));
+            pos = comma + 1;
+        }
+    }
+    return args;
+}
+
+/**
+ * Run @p grid at campaign seed @p seed once per worker count in
+ * @p jobs and return the last result, raising @p best_tps to the best
+ * trials/s seen. Returns nullopt, after an ERROR line, when a run's
+ * JSON differs from the first run's.
+ */
+inline std::optional<CampaignResult>
+runAtEachJobCount(const SweepGrid &grid, uint64_t seed,
+                  const std::vector<unsigned> &jobs, double &best_tps)
+{
+    std::optional<CampaignResult> result;
+    std::string baseline_json;
+    for (const unsigned j : jobs) {
+        CampaignConfig cfg;
+        cfg.jobs = j;
+        cfg.seed = seed;
+        CampaignResult r = Campaign(grid, cfg).run();
+        const std::string json = r.toJson();
+        if (baseline_json.empty())
+            baseline_json = json;
+        else if (json != baseline_json) {
+            std::cout << "ERROR: results differ from --jobs "
+                      << jobs.front() << " run!\n";
+            return std::nullopt;
+        }
+        best_tps = std::max(best_tps, r.trialsPerSecond());
+        result = std::move(r);
+    }
+    return result;
 }
 
 /** Print the experiment banner: which artefact this regenerates. */

@@ -15,8 +15,6 @@
  *   --jobs A,B,...   worker-thread counts to compare (default 1,2)
  */
 
-#include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <map>
 #include <string>
@@ -28,76 +26,13 @@
 #include "core/analysis.hh"
 
 using namespace voltboot;
-
-namespace
-{
-
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "cpa_recovery: " << detail << "\n"
-              << "usage: cpa_recovery [--seeds N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
-
-} // namespace
+using bench::jsonNum;
 
 int
 main(int argc, char **argv)
 {
-    uint64_t seeds = 8;
-    std::vector<unsigned> jobs{1, 2};
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
-            return argv[++i];
-        };
-        if (flag == "--seeds")
-            seeds = std::max<uint64_t>(1, parseUint(flag, value()));
-        else if (flag == "--jobs")
-            jobs = parseJobsList(value());
-        else
-            usageFatal("unknown option " + flag);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        "cpa_recovery", "--seeds", {8, {1, 2}}, argc, argv);
 
     bench::banner("P7", "CPA key recovery vs correlation window");
 
@@ -107,27 +42,14 @@ main(int argc, char **argv)
     // binds the nominal cell.
     const SweepGrid grid = SweepGrid::parse(
         "attack=voltage-coupling;cpa-window-ns=0,2,8;seeds=" +
-        std::to_string(seeds));
+        std::to_string(args.count));
 
-    CampaignResult result;
-    std::string baseline_json;
     double best_tps = 0.0;
-    for (const unsigned j : jobs) {
-        CampaignConfig cfg;
-        cfg.jobs = j;
-        cfg.seed = 0xc9a5;
-        CampaignResult r = Campaign(grid, cfg).run();
-        const std::string json = r.toJson();
-        if (baseline_json.empty())
-            baseline_json = json;
-        else if (json != baseline_json) {
-            std::cout << "ERROR: results differ from --jobs "
-                      << jobs.front() << " run!\n";
-            return 1;
-        }
-        best_tps = std::max(best_tps, r.trialsPerSecond());
-        result = std::move(r);
-    }
+    const std::optional<CampaignResult> run =
+        bench::runAtEachJobCount(grid, 0xc9a5, args.jobs, best_tps);
+    if (!run)
+        return 1;
+    const CampaignResult &result = *run;
 
     // Aggregate correct-byte fraction per window over seeds. The
     // accuracy field of a coupling trial is correct_bytes / 16.
@@ -157,17 +79,18 @@ main(int argc, char **argv)
     }
     std::cout << table.render();
 
-    const CampaignSummary s = result.summary();
-    std::cout << s.cpa_key_bytes << " confident key bytes over "
-              << s.coupling_trials << " trials; nominal window recovers "
+    const auto coupling =
+        result.summary().family(AttackKind::VoltageCoupling);
+    std::cout << coupling.successes << " confident key bytes over "
+              << coupling.trials << " trials; nominal window recovers "
               << TextTable::pct(nominal_rate) << " of the key\n";
     std::cout << "(all runs byte-identical across job counts)\n";
 
     std::string artefact =
         "{\n  \"bench\": \"cpa_recovery\",\n"
-        "  \"trials\": " + std::to_string(s.coupling_trials) +
+        "  \"trials\": " + std::to_string(coupling.trials) +
         ",\n  \"confident_key_bytes\": " +
-        std::to_string(s.cpa_key_bytes) +
+        std::to_string(coupling.successes) +
         ",\n  \"nominal_key_byte_rate\": " + jsonNum(nominal_rate) +
         ",\n  \"trials_per_second\": " + jsonNum(best_tps) +
         ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";

@@ -14,8 +14,6 @@
  *   --jobs A,B,...   worker-thread counts to compare (default 1,2)
  */
 
-#include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <map>
 #include <string>
@@ -27,76 +25,13 @@
 #include "core/analysis.hh"
 
 using namespace voltboot;
-
-namespace
-{
-
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "glitch_surface: " << detail << "\n"
-              << "usage: glitch_surface [--seeds N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
-
-} // namespace
+using bench::jsonNum;
 
 int
 main(int argc, char **argv)
 {
-    uint64_t seeds = 8;
-    std::vector<unsigned> jobs{1, 2};
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
-            return argv[++i];
-        };
-        if (flag == "--seeds")
-            seeds = std::max<uint64_t>(1, parseUint(flag, value()));
-        else if (flag == "--jobs")
-            jobs = parseJobsList(value());
-        else
-            usageFatal("unknown option " + flag);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        "glitch_surface", "--seeds", {8, {1, 2}}, argc, argv);
 
     bench::banner("P6", "glitch success-rate surface (offset x depth)");
 
@@ -106,27 +41,14 @@ main(int argc, char **argv)
     // and can never fault, the deep cells crowbar well below it.
     const SweepGrid grid = SweepGrid::parse(
         "attack=glitch;glitch-off-ns=60,105,107,109,111;glitch-width-ns=2;"
-        "glitch-depth=0.04,0.3,0.5;seeds=" + std::to_string(seeds));
+        "glitch-depth=0.04,0.3,0.5;seeds=" + std::to_string(args.count));
 
-    CampaignResult result;
-    std::string baseline_json;
     double best_tps = 0.0;
-    for (const unsigned j : jobs) {
-        CampaignConfig cfg;
-        cfg.jobs = j;
-        cfg.seed = 0x911c;
-        CampaignResult r = Campaign(grid, cfg).run();
-        const std::string json = r.toJson();
-        if (baseline_json.empty())
-            baseline_json = json;
-        else if (json != baseline_json) {
-            std::cout << "ERROR: results differ from --jobs "
-                      << jobs.front() << " run!\n";
-            return 1;
-        }
-        best_tps = std::max(best_tps, r.trialsPerSecond());
-        result = std::move(r);
-    }
+    const std::optional<CampaignResult> run =
+        bench::runAtEachJobCount(grid, 0x911c, args.jobs, best_tps);
+    if (!run)
+        return 1;
+    const CampaignResult &result = *run;
 
     // Aggregate the (offset, depth) surface over seeds.
     std::map<std::pair<double, double>, std::pair<uint64_t, uint64_t>>
@@ -158,16 +80,16 @@ main(int argc, char **argv)
     }
     std::cout << table.render();
 
-    const CampaignSummary s = result.summary();
-    std::cout << s.glitch_bypassed << "/" << s.glitch_trials
+    const auto glitch = result.summary().family(AttackKind::Glitch);
+    std::cout << glitch.successes << "/" << glitch.trials
               << " signature checks bypassed; " << live_cells
               << " live cells, " << zero_cells << " dead cells\n";
     std::cout << "(all runs byte-identical across job counts)\n";
 
     std::string artefact =
         "{\n  \"bench\": \"glitch_surface\",\n"
-        "  \"trials\": " + std::to_string(s.glitch_trials) +
-        ",\n  \"bypassed\": " + std::to_string(s.glitch_bypassed) +
+        "  \"trials\": " + std::to_string(glitch.trials) +
+        ",\n  \"bypassed\": " + std::to_string(glitch.successes) +
         ",\n  \"trials_per_second\": " + jsonNum(best_tps) +
         ",\n  \"cells\": [\n" + cells_json + "\n  ]\n}\n";
     bench::saveArtefact("BENCH_glitch.json", artefact);

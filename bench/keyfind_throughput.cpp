@@ -20,9 +20,7 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <span>
 #include <string>
@@ -36,54 +34,10 @@
 #include "sim/rng.hh"
 
 using namespace voltboot;
+using bench::jsonNum;
 
 namespace
 {
-
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-[[noreturn]] void
-usageFatal(const std::string &detail)
-{
-    std::cerr << "keyfind_throughput: " << detail << "\n"
-              << "usage: keyfind_throughput [--mib N] [--jobs A,B,...]\n";
-    std::exit(2);
-}
-
-uint64_t
-parseUint(const std::string &flag, const std::string &text)
-{
-    uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size() ||
-        text.empty())
-        usageFatal("malformed value '" + text + "' for " + flag);
-    return value;
-}
-
-std::vector<unsigned>
-parseJobsList(const std::string &text)
-{
-    std::vector<unsigned> jobs;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        const size_t comma = std::min(text.find(',', pos), text.size());
-        const uint64_t j =
-            parseUint("--jobs", text.substr(pos, comma - pos));
-        if (j == 0)
-            usageFatal("--jobs entries must be >= 1");
-        jobs.push_back(static_cast<unsigned>(j));
-        pos = comma + 1;
-    }
-    return jobs;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -123,22 +77,9 @@ sameCandidates(const std::vector<KeyCandidate> &a,
 int
 main(int argc, char **argv)
 {
-    uint64_t mib = 1;
-    std::vector<unsigned> jobs{1, 4};
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageFatal("missing value for " + flag);
-            return argv[++i];
-        };
-        if (flag == "--mib")
-            mib = std::max<uint64_t>(1, parseUint(flag, value()));
-        else if (flag == "--jobs")
-            jobs = parseJobsList(value());
-        else
-            usageFatal("unknown option " + flag);
-    }
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        "keyfind_throughput", "--mib", {1, {1, 4}}, argc, argv);
+    const std::vector<unsigned> &jobs = args.jobs;
 
     bench::banner("P8", "keyfind scan + correction throughput");
     std::cout << "residual filter path: "
@@ -147,7 +88,7 @@ main(int argc, char **argv)
               << "\n\n";
 
     // --- the dump: schedules planted in random filler ---
-    const size_t bytes = mib << 20;
+    const size_t bytes = args.count << 20;
     Rng krng(42);
     std::vector<uint8_t> key(16);
     for (auto &b : key)

@@ -18,6 +18,7 @@
 #ifndef VOLTBOOT_CAMPAIGN_CAMPAIGN_RESULT_HH
 #define VOLTBOOT_CAMPAIGN_CAMPAIGN_RESULT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,21 +56,20 @@ struct CampaignSummary
     /** Attack success = Ok trials that booted attacker code. */
     uint64_t booted = 0;
 
-    /** Glitch trials run / signature checks bypassed. */
-    uint64_t glitch_trials = 0;
-    uint64_t glitch_bypassed = 0;
+    /** One attack family's trials, and its tally's successes summed
+     * over them (see AttackFamily in campaign/trial_runner.hh). */
+    struct FamilyCount
+    {
+        uint64_t trials = 0;
+        uint64_t successes = 0;
+    };
+    std::array<FamilyCount, std::size(kAttackNames)> families{};
 
-    /** Static-extract trials run / clock-freezes achieved. */
-    uint64_t static_trials = 0;
-    uint64_t static_frozen = 0;
-
-    /** Voltage-coupling trials run / confident CPA key bytes summed. */
-    uint64_t coupling_trials = 0;
-    uint64_t cpa_key_bytes = 0;
-
-    /** Key-recovery trials run / exact keys recovered among them. */
-    uint64_t keyrecovery_trials = 0;
-    uint64_t keyrecovery_exact = 0;
+    const FamilyCount &
+    family(AttackKind kind) const
+    {
+        return families[static_cast<size_t>(kind)];
+    }
 };
 
 /** Everything a campaign produced. */

@@ -8,6 +8,11 @@
  * the dump. Nothing is shared between trials, which is what makes the
  * campaign engine embarrassingly parallel.
  *
+ * kAttackFamilies holds one row per AttackKind: the family's run
+ * function, which runTrial() calls, and its sweep-summary tally, which
+ * CampaignResult's summary and JSON and the CLI's sweep output loop
+ * over. Adding a family is one enum value, one name and one row.
+ *
  * Determinism contract (see docs/CAMPAIGN.md):
  *  - the simulated silicon of a trial is a pure function of
  *    (campaign seed, chip-seed index) — the same die is reused across
@@ -58,6 +63,37 @@ StagedVictim stageTrialVictim(Soc &soc, const TrialSpec &spec, Rng &rng);
 
 /** Dump @p target through an attack that has booted attacker code. */
 MemoryImage dumpTarget(VoltBootAttack &attack, TargetRam target);
+
+struct TrialRun;
+
+/** One attack family: how a trial of it runs and how the sweep summary
+ * counts it. */
+struct AttackFamily
+{
+    AttackKind kind;
+    /** Stage, attack, extract and score one trial into its record;
+     * throws on a parameter combination the family rejects. */
+    void (TrialRun::*run)();
+    /** The summary's keys for the family's trial count and success
+     * count; null for a family without a tally of its own. */
+    const char *trials_key = nullptr;
+    const char *successes_key = nullptr;
+    /** One record's contribution to the success count. */
+    uint64_t (*successes)(const TrialRecord &) = nullptr;
+    /** `sweep` prints "<label>: <n> trials, <m> <successes_label>". */
+    const char *label = nullptr;
+    const char *successes_label = nullptr;
+};
+
+/** Every attack family, one row per AttackKind, in enum order. */
+extern const AttackFamily kAttackFamilies[std::size(kAttackNames)];
+
+/** The row of @p kind. */
+inline const AttackFamily &
+attackFamily(AttackKind kind)
+{
+    return kAttackFamilies[static_cast<size_t>(kind)];
+}
 
 /**
  * Run one trial to completion and score it. Throws (FatalError etc.) on

@@ -416,7 +416,7 @@ TEST(KeyRecoverySweep, EndToEndTrialProducesMetrics)
     EXPECT_GT(rec.kr_disagreeing_bits, 0u);
 
     const CampaignSummary s = result.summary();
-    EXPECT_EQ(s.keyrecovery_trials, 1u);
+    EXPECT_EQ(s.family(AttackKind::KeyRecovery).trials, 1u);
 
     // The record round-trips through JSON and the report reader.
     const report::SweepDoc doc =

@@ -292,9 +292,9 @@ TEST(SidechannelCampaign, StaticExtractIsByteIdenticalAcrossJobs)
     EXPECT_EQ(one.toCsv(), four.toCsv());
 
     const CampaignSummary s = one.summary();
-    EXPECT_EQ(s.static_trials, 8u);
+    EXPECT_EQ(s.family(AttackKind::StaticExtract).trials, 8u);
     // Depth 0.45 freezes at both readout rates for both seeds.
-    EXPECT_EQ(s.static_frozen, 4u);
+    EXPECT_EQ(s.family(AttackKind::StaticExtract).successes, 4u);
 }
 
 TEST(SidechannelCampaign, CouplingIsByteIdenticalAcrossJobs)
@@ -308,7 +308,7 @@ TEST(SidechannelCampaign, CouplingIsByteIdenticalAcrossJobs)
     EXPECT_EQ(one.toCsv(), four.toCsv());
 
     const CampaignSummary s = one.summary();
-    EXPECT_EQ(s.coupling_trials, 4u);
+    EXPECT_EQ(s.family(AttackKind::VoltageCoupling).trials, 4u);
     // The full-window trials recover the whole planted key.
     for (const TrialRecord &rec : one.records) {
         if (rec.spec.cpa_window_ns == 0.0) {
