@@ -160,6 +160,14 @@ SweepGrid::set(const std::string &key, const std::string &values)
         values_[a].clear();
         for (const std::string &item : items)
             values_[a].push_back(parseAxisValue(axis, item));
+        // size() multiplies the axis sizes unchecked, so keep their
+        // product in range; a one-value axis cannot push it out.
+        for (uint64_t b = 0, n = 1; axisSize(a) > 1 && b < values_.size();
+             ++b)
+            if (__builtin_mul_overflow(n, axisSize(b), &n)) {
+                values_[a] = SweepGrid().values_[a];
+                fatal("grid describes more than 2^64-1 trials");
+            }
         return;
     }
     fatal("unknown grid key '", key, "' (", axisKeyList(), ")");

@@ -56,7 +56,9 @@ class SweepGrid
     static SweepGrid parse(const std::string &spec);
 
     /** Replace the value list of axis @p key by the comma-separated
-     * @p values, with parse()'s checks. */
+     * @p values, with parse()'s checks. A list that would take the grid
+     * past 2^64 - 1 trials is fatal() and leaves the axis at its
+     * default. */
     void set(const std::string &key, const std::string &values);
 
     /** Number of values on axis kGridAxes[@p axis]. */
