@@ -7,19 +7,24 @@
  *    access sequences interleaved with maintenance operations;
  *  - the assembler against its disassembler (round-trip on random
  *    instruction streams);
- *  - the attack's end-to-end determinism (same seed, same dump).
+ *  - the attack's end-to-end determinism (same seed, same dump);
+ *  - the grid-spec and CSV-row parsers against seed-driven truncations
+ *    and byte flips of valid input (a diagnostic or a clean parse).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "campaign/campaign_result.hh"
+#include "campaign/sweep_grid.hh"
 #include "core/attack.hh"
 #include "isa/assembler.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "os/baremetal.hh"
 #include "os/workloads.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "soc/soc.hh"
 
@@ -217,6 +222,88 @@ TEST_P(AssemblerFuzz, DisassembleReassembleIsIdentity)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/** @p text cut at a random length and/or with up to three random bit
+ * flips, as a damaged file or a mistyped spec would arrive. */
+std::string
+mutate(Rng &rng, std::string text)
+{
+    if (rng.below(2))
+        text.resize(rng.below(text.size() + 1));
+    for (uint64_t n = rng.below(4); n > 0 && !text.empty(); --n)
+        text[rng.below(text.size())] ^=
+            static_cast<char>(1u << rng.below(8));
+    return text;
+}
+
+class GridSpecMutation : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(GridSpecMutation, ParsesCleanlyOrFailsWithADiagnostic)
+{
+    // Every axis kind: strings, enums, doubles, counts, flags and the
+    // replicas count, with a comment and a newline. Mutated grids are
+    // parsed and decoded, never run.
+    const std::string valid =
+        "# mutation base\nboard=pi3,pi4,imx53;target=dcache,iram;"
+        "attack=voltboot,glitch,key-recovery;temp=25,-80.5;off-ms=5;"
+        "glitch-depth=0.5;dumps=2;prior=1;key=0,1;seeds=3\n";
+    ASSERT_EQ(SweepGrid::parse(valid).size(), 216u);
+    Rng rng(GetParam());
+    unsigned parsed = 0, rejected = 0;
+    for (int i = 0; i < 400; ++i) {
+        const std::string spec = mutate(rng, valid);
+        SCOPED_TRACE(spec);
+        try {
+            const SweepGrid grid = SweepGrid::parse(spec);
+            ASSERT_GT(grid.size(), 0u);
+            EXPECT_EQ(grid.at(grid.size() - 1).index, grid.size() - 1);
+            EXPECT_EQ(SweepGrid::parse(grid.describe()).describe(),
+                      grid.describe());
+            ++parsed;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    // The mutations reach both outcomes.
+    EXPECT_GT(parsed, 40u);
+    EXPECT_GT(rejected, 40u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GridSpecMutation,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+class CsvRowMutation : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(CsvRowMutation, SplitsAnyRowWithoutInventingBytes)
+{
+    Rng rng(GetParam());
+    for (int i = 0; i < 200; ++i) {
+        // Random cells over the bytes that force quoting.
+        std::vector<std::string> cells(1 + rng.below(6));
+        std::string row;
+        for (std::string &cell : cells) {
+            for (uint64_t n = rng.below(12); n > 0; --n)
+                cell += "ab ,\"\n\r"[rng.below(7)];
+            row += (&cell == &cells.front() ? "" : ",") + csvEscape(cell);
+        }
+        ASSERT_EQ(splitCsvRow(row), cells) << row;
+
+        const std::string damaged = mutate(rng, row);
+        const std::vector<std::string> split = splitCsvRow(damaged);
+        ASSERT_FALSE(split.empty());
+        size_t bytes = 0;
+        for (const std::string &cell : split)
+            bytes += cell.size();
+        EXPECT_LE(bytes, damaged.size()) << damaged;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsvRowMutation,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 /**
