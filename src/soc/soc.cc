@@ -1,5 +1,7 @@
 #include "soc/soc.hh"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -277,13 +279,18 @@ Soc::runBootRom()
         // The VideoCore boots first from its own ROM and uses the shared
         // L2 for its firmware, clobbering whatever survived the power
         // cycle ("pre-compiled binaries that clobber L2 cache contents").
-        // One block write, so no page of the data RAM is ever derived.
-        std::vector<uint8_t> noise(l2_data_->sizeBytes() / 8 * 8);
-        for (size_t i = 0; i < noise.size(); i += 8) {
-            const uint64_t word = boot_noise_.next();
-            std::memcpy(&noise[i], &word, 8);
+        // Written a page at a time: each write covers its page whole, so
+        // no page of the data RAM is ever derived.
+        std::array<uint8_t, MemoryArray::kPageBytes> noise;
+        const size_t bytes = l2_data_->sizeBytes() / 8 * 8;
+        for (size_t at = 0; at < bytes; at += noise.size()) {
+            const size_t n = std::min(noise.size(), bytes - at);
+            for (size_t i = 0; i < n; i += 8) {
+                const uint64_t word = boot_noise_.next();
+                std::memcpy(&noise[i], &word, 8);
+            }
+            l2_data_->write(at, {noise.data(), n});
         }
-        l2_data_->write(0, noise);
         l2_tags_->fill(0);
     }
 
