@@ -1033,6 +1033,34 @@ TEST(GoldenEquivalence, CampaignJsonCsvAndTracesAreByteIdentical)
     }
 }
 
+TEST(GoldenEquivalence, KeyRecoveryDumpsAndPriorsArePinned)
+{
+    // The grid above runs key recovery at prior=0 only. These cells add
+    // the multi-dump fusion and the bit-flip priors, each alone and
+    // together, at two temperatures and two off-times.
+    const SweepGrid grid = SweepGrid::parse(
+        "board=pi4;target=dcache;attack=key-recovery;temp=-40,-80;"
+        "off-ms=5,50;dumps=1,3;prior=0,1;seeds=2");
+    const CampaignBytes out =
+        runGoldenCampaign(grid, RetentionKernel::Fast, {});
+    const struct
+    {
+        const char *what;
+        const std::string &bytes;
+        size_t size;
+        uint64_t fnv1a;
+    } pins[] = {
+        {"JSON", out.json, 29585, 0x34d43d8a1649e389ULL},
+        {"CSV", out.csv, 5744, 0xd7dfdd83b2158011ULL},
+    };
+    for (const auto &pin : pins) {
+        EXPECT_EQ(pin.bytes.size(), pin.size) << pin.what;
+        EXPECT_EQ(fnv1a64(pin.bytes), pin.fnv1a)
+            << pin.what << std::hex << ": actual 0x"
+            << fnv1a64(pin.bytes);
+    }
+}
+
 // --- Calibration anchors through the fast kernel ---
 
 /** Empirical survival of a 64 KiB array under the current kernel,
