@@ -20,20 +20,6 @@ isPow2(size_t v)
 
 } // namespace
 
-const char *
-toString(ReplacementPolicy policy)
-{
-    switch (policy) {
-      case ReplacementPolicy::Lru:
-        return "LRU";
-      case ReplacementPolicy::RoundRobin:
-        return "round-robin";
-      case ReplacementPolicy::Random:
-        return "pseudo-random";
-    }
-    return "?";
-}
-
 Cache::Cache(std::string name, CacheGeometry geometry, MemoryArray &data_ram,
              MemoryArray &tag_ram, LineBacking *backing)
     : name_(std::move(name)), geom_(geometry), data_(data_ram),
@@ -338,14 +324,6 @@ Cache::lockLine(uint64_t addr)
     if (way == SIZE_MAX)
         fatal("Cache ", name_, ": lockLine on a non-resident address");
     setTagEntry(way, l.set, tagEntry(way, l.set) | kFlagLocked);
-}
-
-void
-Cache::unlockAll()
-{
-    for (size_t s = 0; s < geom_.sets(); ++s)
-        for (size_t w = 0; w < geom_.ways; ++w)
-            setTagEntry(w, s, tagEntry(w, s) & ~kFlagLocked);
 }
 
 void

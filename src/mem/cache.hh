@@ -62,8 +62,6 @@ enum class ReplacementPolicy
     Random,     ///< LFSR-driven pseudo-random (Cortex-A53/A8 style).
 };
 
-const char *toString(ReplacementPolicy policy);
-
 /** Geometry of one cache. */
 struct CacheGeometry
 {
@@ -168,7 +166,6 @@ class Cache
     ///@{
     /** Lock the line currently holding @p addr; it can't be evicted. */
     void lockLine(uint64_t addr);
-    void unlockAll();
     ///@}
 
     /** @name Debug / attack-side interface (RAMINDEX) */

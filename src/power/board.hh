@@ -38,7 +38,6 @@ class Pmic
 
     /** Look up a domain by name; nullptr if absent. */
     PowerDomain *domain(const std::string &name);
-    const PowerDomain *domain(const std::string &name) const;
 
     const std::vector<std::unique_ptr<PowerDomain>> &domains() const
     { return domains_; }

@@ -49,17 +49,4 @@ TransientSolver::solve(const VoltageProbe &probe, Amp surge_current,
     return out;
 }
 
-Seconds
-TransientSolver::dischargeTime(Volt v_start, Volt v_floor, Farad decap,
-                               Amp leakage_current)
-{
-    if (leakage_current.amps() <= 0.0)
-        fatal("TransientSolver: leakage current must be positive");
-    if (v_floor >= v_start)
-        return Seconds(0.0);
-    // Constant-current discharge of the rail capacitance: dV/dt = -I/C.
-    const double dv = v_start.volts() - v_floor.volts();
-    return Seconds(dv * decap.farads() / leakage_current.amps());
-}
-
 } // namespace voltboot

@@ -64,15 +64,6 @@ class TransientSolver
     static ProbeTransient solve(const VoltageProbe &probe, Amp surge_current,
                                 Amp retention_current, Farad decap,
                                 Seconds surge_duration);
-
-    /**
-     * Unpowered rail decay: with no source, the decap discharges into the
-     * leakage load; returns the time for the rail to fall below
-     * @p v_floor starting from @p v_start. Used to model how quickly an
-     * unprobed domain actually reaches 0 V after disconnect.
-     */
-    static Seconds dischargeTime(Volt v_start, Volt v_floor, Farad decap,
-                                 Amp leakage_current);
 };
 
 } // namespace voltboot

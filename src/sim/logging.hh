@@ -4,15 +4,12 @@
  *
  * Follows the gem5 convention: fatal() is for user error (bad
  * configuration, invalid arguments) and exits cleanly; panic() is for
- * internal invariant violations and aborts. warn()/inform() are status
- * channels that never stop the simulation.
+ * internal invariant violations and aborts.
  */
 
 #ifndef VOLTBOOT_SIM_LOGGING_HH
 #define VOLTBOOT_SIM_LOGGING_HH
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -75,27 +72,6 @@ template <typename... Args>
 panic(const Args &...args)
 {
     throw PanicError(detail::concat(args...));
-}
-
-/** Verbosity toggle for inform()/warn(); off by default in tests. */
-bool &logVerbose();
-
-/** Informational status message for the user. */
-template <typename... Args>
-void
-inform(const Args &...args)
-{
-    if (logVerbose())
-        std::cerr << "info: " << detail::concat(args...) << "\n";
-}
-
-/** Warn about suspicious but non-fatal conditions. */
-template <typename... Args>
-void
-warn(const Args &...args)
-{
-    if (logVerbose())
-        std::cerr << "warn: " << detail::concat(args...) << "\n";
 }
 
 } // namespace voltboot

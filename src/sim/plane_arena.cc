@@ -141,11 +141,4 @@ PlaneArena::bytesReserved() const
     return words * sizeof(uint64_t);
 }
 
-void
-PlaneArena::releaseAll()
-{
-    blocks_.clear();
-    used_words_ = 0;
-}
-
 } // namespace voltboot

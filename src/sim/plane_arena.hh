@@ -205,7 +205,7 @@ class BitPlane
 
 /**
  * Bump allocator for word planes. Allocations are zeroed, 64-byte
- * aligned, and live until the arena is destroyed (or releaseAll()).
+ * aligned, and live until the arena is destroyed.
  * Move-only: planes hold raw pointers into the arena's blocks, and the
  * blocks survive a move, so views stay valid when the owning structure
  * is moved (e.g. FingerprintPlanes into the cache).
@@ -256,9 +256,6 @@ class PlaneArena
         return used_words_ * sizeof(uint64_t);
     }
     size_t blockCount() const { return blocks_.size(); }
-
-    /** Drop every block; all planes allocated from this arena die. */
-    void releaseAll();
 
   private:
     struct Deleter

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -144,23 +143,6 @@ MemoryImage::contains(std::span<const uint8_t> needle) const
                        needle.end()) != bytes_.end();
 }
 
-size_t
-MemoryImage::countRecoveredElements(std::span<const uint64_t> elements) const
-{
-    size_t recovered = 0;
-    for (uint64_t element : elements) {
-        uint8_t needle[8];
-        std::memcpy(needle, &element, 8);
-        bool found = false;
-        for (size_t off = 0; off + 8 <= bytes_.size() && !found; off += 8) {
-            found = std::memcmp(bytes_.data() + off, needle, 8) == 0;
-        }
-        if (found)
-            ++recovered;
-    }
-    return recovered;
-}
-
 std::string
 MemoryImage::toPbm(size_t width_bits) const
 {
@@ -175,24 +157,6 @@ MemoryImage::toPbm(size_t width_bits) const
             const size_t bit = y * width_bits + x;
             const int v = bit < total_bits ? (bitAt(bit) ? 1 : 0) : 0;
             os << v << (x + 1 == width_bits ? '\n' : ' ');
-        }
-    }
-    return os.str();
-}
-
-std::string
-MemoryImage::toPgm(size_t width_bytes) const
-{
-    if (width_bytes == 0)
-        fatal("MemoryImage: PGM width must be nonzero");
-    const size_t height = (bytes_.size() + width_bytes - 1) / width_bytes;
-    std::ostringstream os;
-    os << "P2\n" << width_bytes << " " << height << "\n255\n";
-    for (size_t y = 0; y < height; ++y) {
-        for (size_t x = 0; x < width_bytes; ++x) {
-            const size_t i = y * width_bytes + x;
-            const int v = i < bytes_.size() ? bytes_[i] : 0;
-            os << v << (x + 1 == width_bytes ? '\n' : ' ');
         }
     }
     return os.str();

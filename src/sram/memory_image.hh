@@ -76,26 +76,11 @@ class MemoryImage
     bool contains(std::span<const uint8_t> needle) const;
 
     /**
-     * Count how many aligned @p element_size-byte elements of @p pattern
-     * sequence appear in the image — the Table 4 "array elements
-     * recovered" metric. @p elements holds the ground-truth elements; an
-     * element counts as recovered when all its bytes appear contiguously
-     * at some aligned offset.
-     */
-    size_t countRecoveredElements(std::span<const uint64_t> elements) const;
-
-    /**
      * Render the bit image as a PBM (portable bitmap, P1) of the given
      * width in bits; height derives from the image size. This is how the
      * cache/iRAM figures are produced.
      */
     std::string toPbm(size_t width_bits) const;
-
-    /**
-     * Render a grayscale PGM (P2) where each pixel is one byte value —
-     * used for the iRAM bitmap-extraction figure.
-     */
-    std::string toPgm(size_t width_bytes) const;
 
     /** Classic 16-byte-per-line hex dump (debugging aid). */
     std::string hexdump(size_t max_bytes = 256) const;

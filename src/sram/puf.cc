@@ -59,16 +59,6 @@ SramPuf::authenticate(double *out_hd)
     return hd < threshold_;
 }
 
-double
-SramPuf::measureIntraChipHd(unsigned rounds)
-{
-    const MemoryImage first = observe();
-    double total = 0.0;
-    for (unsigned round = 1; round < rounds; ++round)
-        total += MemoryImage::fractionalHamming(observe(), first);
-    return rounds > 1 ? total / (rounds - 1) : 0.0;
-}
-
 void
 SramTrng::calibrate(unsigned rounds)
 {

@@ -73,9 +73,6 @@ class SramPuf
      */
     bool authenticate(double *out_hd = nullptr);
 
-    /** Measure intra-chip stability over @p rounds observations. */
-    double measureIntraChipHd(unsigned rounds = 8);
-
   private:
     MemoryArray &array_;
     unsigned vote_rounds_;

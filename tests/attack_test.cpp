@@ -249,39 +249,6 @@ TEST(VoltBoot, AsmExtractorMatchesHostDebugDump)
     EXPECT_EQ(asm_view.bytes(), host_view.bytes());
 }
 
-TEST(VoltBoot, AllWaysExtractorProgramWorks)
-{
-    // workloads::ramIndexDump generates the multi-way loop variant; it
-    // must agree with the per-way extractor path end to end.
-    Soc soc(SocConfig::bcm2711());
-    soc.powerOn();
-    BareMetalRunner runner(soc);
-    const uint64_t base = soc.config().dram_base + 0x40000;
-    runner.runOn(0, workloads::patternStore(base, 4096, 0xE3));
-
-    VoltBootAttack attack(soc);
-    ASSERT_TRUE(attack.execute().rebooted_into_attacker_code);
-
-    const CacheGeometry geom = soc.config().l1d;
-    const uint64_t dump_base = soc.config().dram_base + 0x80000;
-    Program p = Assembler::assemble(workloads::ramIndexDump(
-        RamIndexDescriptor::kL1DData, geom.ways, geom.sets(),
-        geom.line_bytes / 8, dump_base));
-    p.load_address = soc.config().dram_base + 0x1000;
-    soc.loadProgram(p);
-    soc.runCore(0, p.load_address, 100'000'000);
-    ASSERT_EQ(soc.cpu(0).fault(), CpuFault::None);
-
-    std::vector<uint8_t> out(geom.size_bytes);
-    for (size_t i = 0; i < out.size(); i += 8) {
-        const uint64_t v = soc.port(0).read64(dump_base + i);
-        for (int b = 0; b < 8; ++b)
-            out[i + b] = static_cast<uint8_t>(v >> (8 * b));
-    }
-    EXPECT_EQ(MemoryImage(out).bytes(),
-              soc.memory().l1d(0).dumpAll().bytes());
-}
-
 TEST(ColdBoot, FailsOnSramAtChamberTemperatures)
 {
     // Table 1's control: even at -40 degC the d-cache content is gone

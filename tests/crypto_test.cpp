@@ -306,87 +306,6 @@ TEST(CaseExecution, StagesAndLocksPlaintextInCache)
     EXPECT_TRUE(l1d.probeHit(cas.scheduleAddress()));
 }
 
-TEST(SentryExecution, CleartextOnlyInIram)
-{
-    Soc soc(SocConfig::imx535());
-    soc.powerOn();
-    const std::vector<uint8_t> key =
-        fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    SentryExecution sentry(*soc.memory().mainMemory(), *soc.iramArray(),
-                           /*iram_offset=*/0x4000, key);
-
-    std::vector<uint8_t> page(256);
-    const std::string secret = "SENTRY-PROTECTED-USER-DATA";
-    std::copy(secret.begin(), secret.end(), page.begin());
-
-    const uint64_t dram_addr = soc.config().dram_base + 0x60000;
-    sentry.protectPage(dram_addr, page);
-
-    // DRAM holds only ciphertext.
-    std::vector<uint8_t> dram_window(512);
-    soc.dramArray().read(0x60000, dram_window);
-    const std::vector<uint8_t> marker(secret.begin(), secret.end());
-    EXPECT_FALSE(MemoryImage(dram_window).contains(marker));
-
-    // Unlock decrypts into the iRAM workspace.
-    const size_t clear_off = sentry.unlockPage(dram_addr, page.size());
-    std::vector<uint8_t> clear(page.size());
-    soc.iramArray()->read(clear_off, clear);
-    EXPECT_EQ(clear, page);
-
-    // An orderly lock wipes it...
-    sentry.lockWorkspace();
-    soc.iramArray()->read(clear_off, clear);
-    EXPECT_NE(clear, page);
-}
-
-TEST(SentryExecution, VoltBootStealsTheUnlockedWorkspace)
-{
-    // The in-use path: the page is unlocked when the attacker strikes.
-    Soc soc(SocConfig::imx535());
-    soc.powerOn();
-    const std::vector<uint8_t> key =
-        fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    SentryExecution sentry(*soc.memory().mainMemory(), *soc.iramArray(),
-                           0x4000, key);
-    std::vector<uint8_t> page(256, 0);
-    const std::string secret = "SENTRY-PROTECTED-USER-DATA";
-    std::copy(secret.begin(), secret.end(), page.begin());
-    const uint64_t dram_addr = soc.config().dram_base + 0x60000;
-    sentry.protectPage(dram_addr, page);
-    sentry.unlockPage(dram_addr, page.size());
-
-    // Probe VDDAL1, cycle, dump the iRAM over JTAG.
-    soc.attachProbe("SH13", VoltageProbe{Volt(1.3), Amp(3), Ohm(0.05)});
-    soc.powerCycle(Seconds::milliseconds(500));
-    const MemoryImage dump = soc.jtag().readIram(
-        soc.config().iram_base, soc.config().iram_bytes);
-
-    // Both the cleartext AND the key schedule are in the dump.
-    const std::vector<uint8_t> marker(secret.begin(), secret.end());
-    EXPECT_TRUE(dump.contains(marker));
-    KeyFinder finder;
-    const auto hit = finder.best(dump);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->key, key);
-}
-
-TEST(SentryExecution, RejectsBadShapes)
-{
-    Soc soc(SocConfig::imx535());
-    soc.powerOn();
-    const std::vector<uint8_t> key(16, 1);
-    EXPECT_THROW(SentryExecution(*soc.memory().mainMemory(),
-                                 *soc.iramArray(),
-                                 soc.config().iram_bytes - 8, key),
-                 FatalError);
-    SentryExecution s(*soc.memory().mainMemory(), *soc.iramArray(),
-                      0x4000, key);
-    const std::vector<uint8_t> odd(15, 0);
-    EXPECT_THROW(s.protectPage(0x60000, odd), FatalError);
-    EXPECT_THROW(s.unlockPage(0x60000, 8), FatalError);
-}
-
 TEST(CaseExecution, RequiresEnabledCache)
 {
     Soc soc(SocConfig::bcm2711());

@@ -72,13 +72,6 @@ TEST(Workloads, LoadImm64BuildsArbitraryConstants)
     EXPECT_EQ(soc.cpu(0).x(1), 0xDEADBEEFCAFEF00Dull);
 }
 
-TEST(Workloads, RamIndexDumpProgramAssembles)
-{
-    const Program p = Assembler::assemble(
-        workloads::ramIndexDump(0, 2, 256, 8, 0x80000));
-    EXPECT_GT(p.words.size(), 20u);
-}
-
 TEST(LinuxModel, BootEnablesCaches)
 {
     Soc soc(SocConfig::bcm2711());

@@ -96,23 +96,10 @@ TEST(TransientSolver, SettledVoltageReflectsRetentionCurrent)
     EXPECT_NEAR(t.v_settled.volts(), 0.8 - 0.008 * 0.05, 1e-9);
 }
 
-TEST(TransientSolver, DischargeTimeScalesWithCapacitance)
-{
-    const Seconds t1 = TransientSolver::dischargeTime(
-        Volt(0.8), Volt(0.2), Farad::microfarads(100), Amp(0.05));
-    const Seconds t2 = TransientSolver::dischargeTime(
-        Volt(0.8), Volt(0.2), Farad::microfarads(200), Amp(0.05));
-    EXPECT_NEAR(t2.seconds(), 2.0 * t1.seconds(), 1e-12);
-    EXPECT_NEAR(t1.seconds(), 0.6 * 100e-6 / 0.05, 1e-12);
-}
-
 TEST(TransientSolver, RejectsNonsense)
 {
     EXPECT_THROW(TransientSolver::solve(benchSupply(), Amp(1.0), Amp(0.1),
                                         Farad(0.0), Seconds(1e-6)),
-                 FatalError);
-    EXPECT_THROW(TransientSolver::dischargeTime(Volt(1.0), Volt(0.1),
-                                                Farad(1e-6), Amp(0.0)),
                  FatalError);
 }
 

@@ -50,7 +50,11 @@ TEST(SramPuf, MajorityVotingBeatsSingleObservation)
     // than any single observation is to another.
     SramArray array("chip", 4096, 0xBEEF, 1);
     SramPuf puf(array, /*vote_rounds=*/7);
-    const double single = puf.measureIntraChipHd(6);
+    const MemoryImage first = puf.observe();
+    double single_total = 0;
+    for (int i = 0; i < 5; ++i)
+        single_total += MemoryImage::fractionalHamming(puf.observe(), first);
+    const double single = single_total / 5;
     puf.enroll();
     double voted_total = 0;
     for (int i = 0; i < 5; ++i) {
