@@ -146,12 +146,6 @@ buildTraceReport(std::span<const trace::TraceEvent> events,
         md += "\n";
     }
 
-    if (!agg.counterTracks().empty()) {
-        md += "## Counter tracks\n\n";
-        md += agg.renderCounterTracks();
-        md += "\n";
-    }
-
     if (check) {
         report.violations = checkTraceInvariants(events);
         md += "## Invariant check\n\n";

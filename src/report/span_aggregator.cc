@@ -62,13 +62,11 @@ SpanAggregate::build(std::span<const trace::TraceEvent> events)
             ++agg.event_counts_[key];
             if (ev.phase != trace::Phase::Counter)
                 continue;
-            if (const auto v = trace::argNumber(ev, "v")) {
-                agg.counter_tracks_[key].push_back({ev.ts.seconds(), *v});
+            if (const auto v = trace::argNumber(ev, "v"))
                 if (const auto domain =
                         trace::voltageCounterDomain(ev.name))
                     agg.waveforms_[std::string(*domain)].push_back(
                         {ev.ts.seconds(), *v});
-            }
             continue;
         }
 
@@ -153,32 +151,6 @@ SpanAggregate::renderWaveforms() const
                std::to_string(samples.size()) + " | " + fmtVolts(lo) +
                " | " + fmtVolts(hi) + " | " +
                fmtVolts(samples.back().volts) + " |\n";
-    }
-    return out;
-}
-
-std::string
-SpanAggregate::renderCounterTracks() const
-{
-    std::string out;
-    out += "| track | samples | first | min | max | last |\n";
-    out += "|---|---:|---:|---:|---:|---:|\n";
-    auto fmt = [](double v) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-    };
-    for (const auto &[key, samples] : counter_tracks_) {
-        double lo = samples.front().value;
-        double hi = samples.front().value;
-        for (const CounterSample &s : samples) {
-            lo = std::min(lo, s.value);
-            hi = std::max(hi, s.value);
-        }
-        out += "| `" + key + "` | " + std::to_string(samples.size()) +
-               " | " + fmt(samples.front().value) + " | " + fmt(lo) +
-               " | " + fmt(hi) + " | " + fmt(samples.back().value) +
-               " |\n";
     }
     return out;
 }

@@ -57,13 +57,6 @@ struct VoltageSample
     double volts = 0.0;
 };
 
-/** One numeric sample of a generic counter track (timestamp, value). */
-struct CounterSample
-{
-    double ts_s = 0.0;
-    double value = 0.0;
-};
-
 /** Aggregated view of one event sequence. */
 class SpanAggregate
 {
@@ -93,16 +86,6 @@ class SpanAggregate
     waveforms() const
     { return waveforms_; }
 
-    /**
-     * Every Counter event's numeric `v` samples keyed "category/name"
-     * — the generic sibling of waveforms(). Campaign progress events
-     * (`campaign/progress.*`) land here, giving `report trace` a
-     * trial-rate-over-time view of a sweep.
-     */
-    const std::map<std::string, std::vector<CounterSample>> &
-    counterTracks() const
-    { return counter_tracks_; }
-
     uint64_t totalEvents() const { return total_events_; }
 
     /** Markdown table of spans(): calls, total and self time. */
@@ -115,16 +98,11 @@ class SpanAggregate
      * min/max volts, final level). */
     std::string renderWaveforms() const;
 
-    /** Markdown summary of counterTracks(): sample count, first/min/
-     * max/last value per track. */
-    std::string renderCounterTracks() const;
-
   private:
     std::map<std::string, SpanStats> spans_;
     std::map<std::string, uint64_t> event_counts_;
     std::vector<SpanNode> roots_;
     std::map<std::string, std::vector<VoltageSample>> waveforms_;
-    std::map<std::string, std::vector<CounterSample>> counter_tracks_;
     uint64_t total_events_ = 0;
 };
 

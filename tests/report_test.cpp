@@ -924,33 +924,6 @@ TEST(Heartbeat, EmptyStreamRendersEmpty)
     std::filesystem::remove_all(dir);
 }
 
-// --- counter tracks (campaign progress events) -----------------------
-
-TEST(SpanAggregator, CollectsGenericCounterTracks)
-{
-    std::vector<trace::TraceEvent> events;
-    for (int i = 0; i < 3; ++i) {
-        trace::TraceEvent e;
-        e.phase = trace::Phase::Counter;
-        e.category = "campaign";
-        e.name = "progress.done";
-        e.ts = Seconds(static_cast<double>(i));
-        e.args.push_back(trace::Arg("v", 4 * (i + 1)));
-        events.push_back(e);
-    }
-    const report::SpanAggregate agg =
-        report::SpanAggregate::build(events);
-    ASSERT_EQ(agg.counterTracks().count("campaign/progress.done"), 1u);
-    const auto &track =
-        agg.counterTracks().at("campaign/progress.done");
-    ASSERT_EQ(track.size(), 3u);
-    EXPECT_DOUBLE_EQ(track[0].value, 4.0);
-    EXPECT_DOUBLE_EQ(track[2].value, 12.0);
-    EXPECT_DOUBLE_EQ(track[2].ts_s, 2.0);
-    const std::string md = agg.renderCounterTracks();
-    EXPECT_NE(md.find("campaign/progress.done"), std::string::npos);
-}
-
 // --- campaign JSON parsing -------------------------------------------
 
 /** Every kRecordFields field of @p got equals that of @p want. */

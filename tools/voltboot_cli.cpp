@@ -36,7 +36,6 @@
  *   --csv FILE                write results as CSV
  *   --timing                  include wall-clock section in the JSON
  *   --trace-dir DIR           one deterministic JSONL trace per trial
- *                             (plus a non-canonical progress.jsonl)
  *   --metrics FILE            write the engine metrics snapshot
  *   --metrics-port N          live /metrics | /healthz | /progress HTTP
  *                             endpoints while the sweep runs (0 picks an
@@ -57,7 +56,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -496,7 +494,6 @@ cmdSweep(const SweepOptions &o)
     cfg.jobs = o.jobs;
     cfg.seed = o.seed;
     cfg.trace_dir = o.trace_dir;
-    const bool tracing = !o.trace_dir.empty();
 
     // Live telemetry: sampler + optional heartbeat stream + optional
     // /metrics endpoint + progress. Counters are process-wide, so start
@@ -509,38 +506,21 @@ cmdSweep(const SweepOptions &o)
     mcfg.grid_spec = grid.describe();
     mcfg.axes = monitorAxes(grid);
     mcfg.heartbeat_path = o.heartbeat;
-    // Each sample prints the progress line and, with a trace dir, lands
-    // as `campaign/progress.*` Counter events in
-    // <trace-dir>/progress.jsonl. The stream is wall-clock timed and
-    // non-canonical; per-trial traces stay deterministic.
-    std::vector<trace::TraceEvent> progress_events;
-    if (!o.quiet || tracing) {
-        mcfg.on_sample = [&progress_events, quiet = o.quiet, tracing,
-                          total = mcfg.total_trials](
+    // Each sample prints the progress line; the heartbeat stream
+    // carries the same done/rate/ETA figures.
+    if (!o.quiet) {
+        mcfg.on_sample = [total = mcfg.total_trials](
                              const telemetry::TelemetrySnapshot &snap) {
             const uint64_t done =
                 snap.totals.get(telemetry::Counter::TrialsCompleted) +
                 snap.totals.get(telemetry::Counter::TrialsSkipped);
-            const double rate = snap.trials_per_sec_ewma;
-            if (tracing) {
-                auto sample = [&](const char *name, double v) {
-                    progress_events.push_back(trace::counterEvent(
-                        "campaign", name, Seconds(snap.elapsed_s), v));
-                };
-                sample("progress.done", static_cast<double>(done));
-                sample("progress.trials_per_sec", rate);
-                sample("progress.eta_s", snap.eta_s);
-            }
-            if (!quiet) {
-                std::fprintf(
-                    stderr,
-                    "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
-                    static_cast<unsigned long long>(done),
-                    static_cast<unsigned long long>(total), rate,
-                    snap.eta_s);
-                if (snap.final_sample)
-                    std::fprintf(stderr, "\n");
-            }
+            std::fprintf(stderr,
+                         "\r%llu/%llu trials  %.1f trials/s  ETA %.0fs ",
+                         static_cast<unsigned long long>(done),
+                         static_cast<unsigned long long>(total),
+                         snap.trials_per_sec_ewma, snap.eta_s);
+            if (snap.final_sample)
+                std::fprintf(stderr, "\n");
         };
     }
     telemetry::CampaignMonitor monitor(mcfg);
@@ -617,19 +597,9 @@ cmdSweep(const SweepOptions &o)
         CampaignResult::writeFile(o.out_csv, result.toCsv());
         std::cout << "wrote " << o.out_csv << "\n";
     }
-    if (!o.trace_dir.empty()) {
+    if (!o.trace_dir.empty())
         std::cout << "wrote " << s.trials << " trial traces to "
                   << o.trace_dir << "\n";
-        if (!progress_events.empty()) {
-            const std::string path =
-                (std::filesystem::path(o.trace_dir) / "progress.jsonl")
-                    .string();
-            CampaignResult::writeFile(
-                path, trace::toJsonl(progress_events));
-            std::cout << "wrote " << path << " ("
-                      << progress_events.size() << " progress events)\n";
-        }
-    }
     if (!o.metrics.empty())
         writeOutput(o.metrics, result.metrics.toJson() + "\n");
     return s.errors || s.skipped ? 1 : 0;
