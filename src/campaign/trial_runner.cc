@@ -410,7 +410,10 @@ TrialRun::keyRecovery()
     kcfg.jobs = 1; // Campaign workers parallelise over trials.
     kcfg.use_priors = spec.use_priors;
     const keyfind::KeyRecoveryEngine engine(kcfg);
-    const keyfind::RecoveryReport report = engine.recover(dumps, priors);
+    // The dumps are fused above; recover the one fused image under its
+    // likelihoods rather than fusing them a second time.
+    const keyfind::RecoveryReport report =
+        engine.recover(std::span(&fused.image, 1), fused.flip_likelihood);
     rec.kr_scan_hits = report.scan_hits.size();
     rec.kr_corrected_hits = report.corrected_hits.size();
     rec.kr_correction_iterations = report.correction.iterations;
