@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,6 +95,8 @@ parseBenchArgs(const std::string &name, const std::string &count_flag,
             const uint64_t j = number(flag, text.substr(pos, comma - pos));
             if (j == 0)
                 usage("--jobs entries must be >= 1");
+            if (j > std::numeric_limits<unsigned>::max())
+                usage("--jobs entry out of range: " + std::to_string(j));
             args.jobs.push_back(static_cast<unsigned>(j));
             pos = comma + 1;
         }

@@ -1236,6 +1236,13 @@ TEST(Cli, ReportUsageErrorsExitTwo)
     EXPECT_EQ(runCli("attack --retention-path reference", dir).exit_code,
               2);
     EXPECT_EQ(runCli("attack --temp nan", dir).exit_code, 2);
+    // A worker count past unsigned range is refused, not wrapped.
+    EXPECT_EQ(runCli("sweep --grid seeds=1 --jobs 4294967296", dir)
+                  .exit_code,
+              2);
+    EXPECT_EQ(runCli("sweep --grid seeds=1 --jobs 0x100000000", dir)
+                  .exit_code,
+              2);
     // There is no throughput baseline to compare against.
     EXPECT_EQ(runCli("report campaign s.json --baseline b.json", dir)
                   .exit_code,

@@ -59,6 +59,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -400,9 +401,12 @@ parseSweep(int argc, char **argv, int first)
             o.grid = value();
         else if (flag == "--attack")
             o.attack = value();
-        else if (flag == "--jobs")
-            o.jobs = static_cast<unsigned>(parseUint(flag, value()));
-        else if (flag == "--seed")
+        else if (flag == "--jobs") {
+            const uint64_t jobs = parseUint(flag, value());
+            if (jobs > std::numeric_limits<unsigned>::max())
+                usageFatal("--jobs out of range: ", jobs);
+            o.jobs = static_cast<unsigned>(jobs);
+        } else if (flag == "--seed")
             o.seed = parseUint(flag, value());
         else if (flag == "--out")
             o.out_json = value();
