@@ -61,18 +61,6 @@ scheduleResidualWords(size_t key_bytes)
     }
 }
 
-const char *
-toString(GiveUpReason reason)
-{
-    switch (reason) {
-      case GiveUpReason::None: return "none";
-      case GiveUpReason::Residual: return "residual";
-      case GiveUpReason::ErrorFloor: return "error_floor";
-      case GiveUpReason::MaxIterations: return "max_iterations";
-    }
-    return "?";
-}
-
 double
 KeyCorrector::linearResidualFraction(std::span<const uint8_t> window,
                                      size_t key_bytes)

@@ -66,8 +66,6 @@ enum class GiveUpReason
     MaxIterations, ///< Hit the iteration cap before converging.
 };
 
-const char *toString(GiveUpReason reason);
-
 /**
  * Schedule word indices i for which w[i] = w[i-Nk] ^ w[i-1] holds
  * exactly in an ideal schedule (no S-box / Rcon on that row), chosen so

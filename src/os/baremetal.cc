@@ -28,14 +28,4 @@ BareMetalRunner::runOn(size_t core, const std::string &source,
     return r;
 }
 
-std::vector<BareMetalResult>
-BareMetalRunner::runOnAllCores(const std::string &source,
-                               uint64_t load_address, uint64_t max_steps)
-{
-    std::vector<BareMetalResult> results;
-    for (size_t core = 0; core < soc_.coreCount(); ++core)
-        results.push_back(runOn(core, source, load_address, max_steps));
-    return results;
-}
-
 } // namespace voltboot

@@ -1,7 +1,7 @@
 /**
  * @file
  * Bare-metal execution harness: loads an assembled victim program onto a
- * powered Soc and runs it on one or all cores, the way the paper's
+ * powered Soc and runs it on one core, the way the paper's
  * Section 7.1.1 experiments drive their Raspberry Pis.
  */
 
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "isa/assembler.hh"
 #include "soc/soc.hh"
@@ -41,11 +40,6 @@ class BareMetalRunner
     BareMetalResult runOn(size_t core, const std::string &source,
                           uint64_t load_address = 0x1000,
                           uint64_t max_steps = 20'000'000);
-
-    /** Run @p source on every core (same image, per-core execution). */
-    std::vector<BareMetalResult> runOnAllCores(
-        const std::string &source, uint64_t load_address = 0x1000,
-        uint64_t max_steps = 20'000'000);
 
     /** The last program loaded (ground-truth machine code). */
     const Program &lastProgram() const { return last_program_; }

@@ -247,15 +247,15 @@ TEST(BareMetalRunner, RunsOnAllCores)
     Soc soc(SocConfig::bcm2711());
     soc.powerOn();
     BareMetalRunner runner(soc);
-    const auto results = runner.runOnAllCores(R"(
-        mrs x1, coreid
-        add x1, x1, #100
-        hlt
-    )");
-    ASSERT_EQ(results.size(), 4u);
-    for (const auto &r : results) {
-        EXPECT_TRUE(r.halted_cleanly) << "core " << r.core;
-        EXPECT_EQ(soc.cpu(r.core).x(1), 100u + r.core);
+    ASSERT_EQ(soc.coreCount(), 4u);
+    for (size_t core = 0; core < soc.coreCount(); ++core) {
+        const BareMetalResult r = runner.runOn(core, R"(
+            mrs x1, coreid
+            add x1, x1, #100
+            hlt
+        )");
+        EXPECT_TRUE(r.halted_cleanly) << "core " << core;
+        EXPECT_EQ(soc.cpu(core).x(1), 100u + core);
     }
 }
 
