@@ -5,7 +5,7 @@
  * progress model (trial rate, EWMA, ETA, per-axis grid completion),
  * appends the heartbeat JSONL stream, hands mutex-guarded copies to
  * the /metrics + /progress endpoints, and passes each sample to an
- * optional callback (the CLI's progress line and progress events).
+ * optional callback (the CLI's progress line).
  *
  * Layering: the monitor knows nothing about Campaign or SweepGrid —
  * the caller describes the sweep as a total trial count plus an
